@@ -10,10 +10,10 @@ from .config import RunConfig, load_config, save_config
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
                              build_grid, build_line_grid, default_grading, gradient_energy,
                              sphere_area, weighted_inner, weighted_norm)
-from .dynamics import EvolutionState, VirialTrace, evolve_and_trace, step
+from .dynamics import CrankNicolson, VirialTrace, evolve_and_trace
 from .functionals import IdentityReport, evaluate_identities, l2_scale, scaled_energy
 from .ground_state import (MinimizerReport, ReconcileReport, ground_state,
-                           minimize_weinstein, reconcile, shoot_profile)
+                           minimize_and_rescale, minimize_weinstein, reconcile, shoot_profile)
 from .model import (ModelParams, StabilityVerdict, classify_by_threshold, critical_power,
                     exists_window, mass_scaling_exponent, omega_rescale)
 from .spectral import (SpectralReport, assemble_linearized, eigenpairs, eigenvalues,
@@ -26,10 +26,10 @@ __all__ = [
     "RunConfig", "load_config", "save_config",
     "LineGrid", "Profile", "RadialGrid", "SectorOperator", "assemble_operator", "build_grid",
     "build_line_grid", "default_grading", "gradient_energy", "weighted_inner", "weighted_norm",
-    "EvolutionState", "VirialTrace", "evolve_and_trace", "step",
+    "CrankNicolson", "VirialTrace", "evolve_and_trace",
     "IdentityReport", "evaluate_identities", "l2_scale", "scaled_energy", "sphere_area",
-    "MinimizerReport", "ReconcileReport", "ground_state", "minimize_weinstein",
-    "reconcile", "shoot_profile",
+    "MinimizerReport", "ReconcileReport", "ground_state", "minimize_and_rescale",
+    "minimize_weinstein", "reconcile", "shoot_profile",
     "ModelParams", "StabilityVerdict", "classify_by_threshold", "critical_power",
     "exists_window", "mass_scaling_exponent", "omega_rescale",
     "SpectralReport", "assemble_linearized", "eigenpairs", "eigenvalues", "morse_index",

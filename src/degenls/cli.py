@@ -19,12 +19,11 @@ import numpy as np
 
 from . import functionals, spectral
 from .config import RunConfig, load_config
-from .discretization import (LineGrid, RadialGrid, assemble_operator, build_grid,
-                             build_line_grid, default_grading, weighted_inner)
+from .discretization import LineGrid, RadialGrid, build_grid, build_line_grid, default_grading
 from .dynamics import evolve_and_trace
 from .exceptions import (DegenlsError, InvalidParameterError, InvalidWindowError,
                          NonConvergenceError)
-from .ground_state import ground_state, minimize_weinstein, reconcile, shoot_profile
+from .ground_state import ground_state, minimize_and_rescale, reconcile, shoot_profile
 from .model import ModelParams, classify_by_threshold, exists_window
 from .presets import default_r_max, line_grading, needs_line, sweep_grid
 
@@ -66,31 +65,15 @@ def _resolve_grid(cfg: RunConfig, params: ModelParams,
     return build_grid(params.d, r_max, cfg.n, gamma)
 
 
-def _operator_self_check(grid: RadialGrid, a: float, seed: int) -> None:
-    """Seeded spot check of discrete self-adjointness; a failed check is a build bug."""
-    rng = np.random.default_rng(seed)
-    op = assemble_operator(grid, a, sector=0)
-    u, v = rng.standard_normal(grid.n), rng.standard_normal(grid.n)
-    gap = abs(weighted_inner(grid, op.apply(u), v) - weighted_inner(grid, u, op.apply(v)))
-    if gap > 1e-10 * float(np.max(np.abs(op.diag))):
-        raise DegenlsError(f"operator self-adjointness check failed: gap {gap:.3e}")
-
-
 def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     if not exists_window(params):
         _emit_error("existence-window", f"parameters {params} violate the existence window")
         return EXIT_PARAMS
     grid = _resolve_grid(cfg, params)
-    _operator_self_check(grid, params.a, cfg.seed)
     log.info("minimizing at d=%d a=%g p=%g on N=%d r_max=%g",
              params.d, params.a, params.p, cfg.n, grid.r_max)
-    report = minimize_weinstein(params.with_omega(1.0), grid,
-                                tol=cfg.tol, max_iter=cfg.max_iter)
-    if params.omega == 1.0:
-        wave = report.profile(params)
-    else:
-        wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    report, wave = minimize_and_rescale(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     identities = functionals.evaluate_identities(params, wave)
 
     _write_csv(os.path.join(out, "profile.csv"), ["rho", "phi"], _profile_rows(wave))
@@ -257,9 +240,16 @@ def main(argv=None) -> int:
 
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         stream=sys.stderr, format="%(name)s: %(message)s")
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("DEGENLS_THREADS", "1"))
+    raw_threads = args.threads if args.threads is not None \
+        else os.environ.get("DEGENLS_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print(f"usage error: thread count must be a positive integer, got {raw_threads!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     if not os.path.isfile(args.config):
         print(f"usage error: config file not found: {args.config}", file=sys.stderr)

@@ -50,7 +50,7 @@ class RunConfig:
     sweep_p_values: tuple[float, ...] = (2.0, 3.0, 5.0, 7.0)
     sweep_n: int = 65536
     sweep_tail_decades: float = 7.0
-    # output
+    # output: accepted so that older configs load; nothing reads them
     seed: int = 1234
     out_dir: str = ""
 

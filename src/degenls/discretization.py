@@ -155,32 +155,26 @@ def default_grading(a: float) -> float:
     return 2.0 if a > 0.5 else 1.0
 
 
-def _edge_flux(grid: RadialGrid, a: float) -> np.ndarray:
-    """Interior edge coefficients s_{i+1/2} = rho_{i+1/2}^{d-1+2a} / (rho_{i+1} - rho_i).
+def _radial_flux(grid: RadialGrid, a: float, sector: int) -> np.ndarray:
+    """Edge coefficients of the radial operator, closures included (length N+1).
 
-    Entry j corresponds to edge j+1/2 (j = 0..N); the two boundary entries are
-    set by the closure and filled in by the caller.
+    Entry j belongs to edge j+1/2 (j = 0..N).  Interior edges carry
+    s_{i+1/2} = rho_{i+1/2}^m / (rho_{i+1} - rho_i), m = d-1+2a; the outer
+    closure is homogeneous Dirichlet, ghost value 0 at r_max.  The origin
+    closure is zero flux (the proven limit of rho^{d+2a-1} phi'), except in
+    the d = 1 odd parity sector, where the value is pinned to 0 at rho = 0:
+    the exact steady flux through (0, rho_1), s = (1-m) / rho_1^{1-m}, for
+    m < 1 (the standard ghost-node 1/rho_1 at a = 0).  For m >= 1 the origin
+    carries no capacity and the pinned value is invisible (zero flux).
     """
     m = grid.d - 1 + 2.0 * a
     gaps = grid.spacings()
     s = np.zeros(grid.n + 1)
     s[1:-1] = grid.edges[1:-1] ** m / gaps[1:-1]
+    s[-1] = grid.r_max ** m / gaps[-1]
+    if grid.d == 1 and sector == 1 and m < 1.0:
+        s[0] = (1.0 - m) / grid.nodes[0] ** (1.0 - m)
     return s
-
-
-def _origin_dirichlet_flux(grid: RadialGrid, a: float) -> float:
-    """Transmission coefficient of the first cell for a zero value pinned at rho = 0.
-
-    Exact steady flux through (0, rho_1) for the weighted operator:
-    s = (1-m) / rho_1^{1-m} with m = d-1+2a, provided m < 1.  For m >= 1 the
-    origin carries no capacity and the pinned value is invisible (the closure
-    degenerates to zero flux).  At d = 1, a = 0 this reduces to the standard
-    1/rho_1 ghost-node coefficient.
-    """
-    m = grid.d - 1 + 2.0 * a
-    if m >= 1.0:
-        return 0.0
-    return (1.0 - m) / grid.nodes[0] ** (1.0 - m)
 
 
 def _line_flux(grid: LineGrid, a: float) -> np.ndarray:
@@ -199,7 +193,7 @@ def _line_flux(grid: LineGrid, a: float) -> np.ndarray:
     """
     m = 2.0 * a
     if m >= 1.0:
-        side = assemble_operator(grid.half, a).flux[1:]
+        side = _radial_flux(grid.half, a, 0)[1:]
         return np.concatenate((side[::-1], [0.0], side))
     rho = np.append(grid.half.nodes, grid.r_max)
     ratio = np.log1p(np.diff(rho) / rho[:-1])          # log(rho_{i+1} / rho_i)
@@ -210,37 +204,20 @@ def _line_flux(grid: LineGrid, a: float) -> np.ndarray:
 
 @dataclass
 class SectorOperator:
-    """Tridiagonal form of -div(|x|^{2a} grad) + angular barrier + potential on one sector.
+    """Tridiagonal form of -div(|x|^{2a} grad) + potential on one sector.
 
     Row i reads (A u)_i = (1/w_i)[s_{i-1/2}(u_i - u_{i-1}) + s_{i+1/2}(u_i - u_{i+1})]
-    + [l(l+d-2) rho_i^{2a-2} + potential_i] u_i, with ghost values 0 beyond both
-    boundary edges.  Self-adjoint in the volume-weighted inner product.
+    + V_i u_i, with ghost values 0 beyond both boundary edges; V, the
+    potential, includes the angular barrier l(l+d-2) rho^{2a-2} of sector l.
+    Self-adjoint in the volume-weighted inner product.
     """
 
     grid: RadialGrid | LineGrid
     a: float
     sector: int
     flux: np.ndarray            # s_{j+1/2}, length N+1; [0] and [-1] are the closures
-    angular: np.ndarray         # l(l+d-2) rho^{2a-2} at nodes
-    potential: np.ndarray | None = None
-
-    @property
-    def diag(self) -> np.ndarray:
-        w = self.grid.volumes
-        d = (self.flux[:-1] + self.flux[1:]) / w + self.angular
-        if self.potential is not None:
-            d = d + self.potential
-        return d
-
-    @property
-    def sub_diag(self) -> np.ndarray:
-        """True subdiagonal of A (row i+1, column i), length N-1."""
-        return -self.flux[1:-1] / self.grid.volumes[1:]
-
-    @property
-    def sup_diag(self) -> np.ndarray:
-        """Superdiagonal of A (row i, column i+1), length N-1."""
-        return -self.flux[1:-1] / self.grid.volumes[:-1]
+    diag: np.ndarray            # (s_{i-1/2} + s_{i+1/2}) / w_i + V_i
+    potential: np.ndarray | None = None     # V at nodes; None where it vanishes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         # Flux form: differencing u first avoids the catastrophic cancellation
@@ -252,8 +229,8 @@ class SectorOperator:
         t[1:-1] = s[1:-1] * np.diff(u)
         t[-1] = -s[-1] * u[-1]
         out = (t[:-1] - t[1:]) / w
-        extra = self.angular if self.potential is None else self.angular + self.potential
-        out += extra * u
+        if self.potential is not None:
+            out += self.potential * u
         return out
 
     def quad_form(self, u: np.ndarray) -> float:
@@ -262,9 +239,22 @@ class SectorOperator:
         du = np.diff(u)
         val = np.sum(s[1:-1] * np.abs(du) ** 2)
         val += s[0] * abs(u[0]) ** 2 + s[-1] * abs(u[-1]) ** 2
-        extra = self.angular if self.potential is None else self.angular + self.potential
-        val += np.sum(self.grid.volumes * extra * np.abs(u) ** 2)
+        if self.potential is not None:
+            val += np.sum(self.grid.volumes * self.potential * np.abs(u) ** 2)
         return float(val)
+
+    def gradient_energy(self, u: np.ndarray) -> float:
+        """Discrete integral rho^{d-1+2a} |u'|^2 d rho over interior edges.
+
+        Matches the quadratic form of the sector-0 operator whenever the field
+        vanishes at the outer boundary (the Dirichlet term s_{N+1/2} |u_N|^2 is
+        the only difference, and it is dropped here so constants carry zero
+        gradient energy).  On a line grid the interior edges include the centre
+        link, so this is integral |x|^{2a} |u'|^2 dx over R.
+        """
+        if u.shape != self.grid.nodes.shape:
+            raise InvalidParameterError("field length does not match the grid")
+        return float(np.sum(self.flux[1:-1] * np.abs(np.diff(u)) ** 2))
 
     def sym_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """Similarity transform W^{1/2} A W^{-1/2}: symmetric (diag, offdiag) pair."""
@@ -272,14 +262,18 @@ class SectorOperator:
         off = -self.flux[1:-1] / np.sqrt(w[:-1] * w[1:])
         return self.diag.copy(), off
 
-    def solve(self, rhs: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        """Solve (A + shift) x = rhs with the banded LU of the tridiagonal."""
-        n = self.grid.n
-        ab = np.zeros((3, n), dtype=np.result_type(rhs, float))
-        ab[0, 1:] = self.sup_diag
-        ab[1, :] = self.diag + shift
-        ab[2, :-1] = self.sub_diag
-        return solve_banded((1, 1), ab, rhs)
+    def banded(self, scale: complex = 1.0, shift: complex = 0.0) -> np.ndarray:
+        """scale A + shift I in the (1, 1) band layout of `scipy.linalg.solve_banded`."""
+        w = self.grid.volumes
+        ab = np.zeros((3, self.grid.n), dtype=np.result_type(scale, shift, float))
+        ab[0, 1:] = scale * (-self.flux[1:-1] / w[:-1])
+        ab[1, :] = scale * self.diag + shift
+        ab[2, :-1] = scale * (-self.flux[1:-1] / w[1:])
+        return ab
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs with the banded LU of the tridiagonal."""
+        return solve_banded((1, 1), self.banded(), rhs)
 
     def branches(self) -> tuple["SectorOperator", "SectorOperator"] | None:
         """The two half-line blocks of a full-line operator whose centre link is zero.
@@ -290,14 +284,15 @@ class SectorOperator:
         """
         if not isinstance(self.grid, LineGrid) or self.flux[self.grid.half.n] != 0.0:
             return None
-        n, half, pot = self.grid.half.n, self.grid.half, self.potential
+        n, pot = self.grid.half.n, self.potential
 
-        def block(flux, part):
-            return SectorOperator(grid=half, a=self.a, sector=0, flux=flux,
-                                  angular=np.zeros(n), potential=part)
+        def block(flux, cells):
+            return SectorOperator(grid=self.grid.half, a=self.a, sector=0, flux=flux,
+                                  diag=self.diag[cells],
+                                  potential=None if pot is None else pot[cells])
 
-        return (block(self.flux[n::-1], None if pot is None else pot[n - 1::-1]),
-                block(self.flux[n:], None if pot is None else pot[n:]))
+        return (block(self.flux[n::-1], slice(n - 1, None, -1)),
+                block(self.flux[n:], slice(n, None)))
 
 
 def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
@@ -307,8 +302,8 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
     For d = 1 the sectors are parity classes: sector 0 is even (zero flux at
     the origin), sector 1 is odd (value pinned to 0 at the origin).  For
     d >= 2, sector is the angular index l >= 0 and the barrier l(l+d-2)
-    rho^{2a-2} is added to the diagonal.  A `LineGrid` has a single sector,
-    0: the whole line, its branches coupled through the origin (`_line_flux`).
+    rho^{2a-2} joins the potential.  A `LineGrid` has a single sector, 0: the
+    whole line, its branches coupled through the origin (`_line_flux`).
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParameterError(f"degeneracy exponent must satisfy 0 <= a < 1, got {a}")
@@ -322,26 +317,17 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
         potential = np.asarray(potential, dtype=float)
         if potential.shape != grid.nodes.shape:
             raise InvalidParameterError("potential length does not match the grid")
-    if isinstance(grid, LineGrid):
-        return SectorOperator(grid=grid, a=a, sector=0, flux=_line_flux(grid, a),
-                              angular=np.zeros(grid.n), potential=potential)
-
-    s = _edge_flux(grid, a)
-    m = grid.d - 1 + 2.0 * a
-    gaps = grid.spacings()
-    # Outer closure: homogeneous Dirichlet, ghost value 0 at r_max.
-    s[-1] = grid.r_max ** m / gaps[-1]
-    # Origin closure: zero flux by default (the proven limit of rho^{d+2a-1} phi'),
-    # Dirichlet transmission for the d = 1 odd parity sector.
-    if grid.d == 1 and sector == 1:
-        s[0] = _origin_dirichlet_flux(grid, a)
-    else:
-        s[0] = 0.0
-
+    flux = _line_flux(grid, a) if isinstance(grid, LineGrid) else _radial_flux(grid, a, sector)
     ell = int(sector)
     coeff = ell * (ell + grid.d - 2)
-    angular = coeff * grid.nodes ** (2.0 * a - 2.0) if coeff else np.zeros(grid.n)
-    return SectorOperator(grid=grid, a=a, sector=ell, flux=s, angular=angular,
+    barrier = coeff * grid.nodes ** (2.0 * a - 2.0) if coeff else None
+    diag = (flux[:-1] + flux[1:]) / grid.volumes
+    for term in (barrier, potential):
+        if term is not None:
+            diag += term
+    if barrier is not None:
+        potential = barrier if potential is None else barrier + potential
+    return SectorOperator(grid=grid, a=a, sector=ell, flux=flux, diag=diag,
                           potential=potential)
 
 
@@ -358,15 +344,5 @@ def weighted_norm(grid: RadialGrid | LineGrid, u: np.ndarray) -> float:
 
 
 def gradient_energy(grid: RadialGrid | LineGrid, a: float, u: np.ndarray) -> float:
-    """Discrete integral rho^{d-1+2a} |u'|^2 d rho over interior edges.
-
-    Matches the quadratic form of the sector-0 operator whenever the field
-    vanishes at the outer boundary (the Dirichlet term s_{N+1/2} |u_N|^2 is
-    the only difference, and it is dropped here so constants carry zero
-    gradient energy).  On a line grid the interior edges include the centre
-    link, so this is integral |x|^{2a} |u'|^2 dx over R.
-    """
-    if u.shape != grid.nodes.shape:
-        raise InvalidParameterError("field length does not match the grid")
-    s = _line_flux(grid, a) if isinstance(grid, LineGrid) else _edge_flux(grid, a)
-    return float(np.sum(s[1:-1] * np.abs(np.diff(u)) ** 2))
+    """Discrete integral rho^{d-1+2a} |u'|^2 d rho: see `SectorOperator.gradient_energy`."""
+    return assemble_operator(grid, a).gradient_energy(u)

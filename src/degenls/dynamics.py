@@ -11,29 +11,18 @@ its trust metric.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from . import functionals
-from .discretization import Profile, RadialGrid, assemble_operator
+from .discretization import Profile, RadialGrid, assemble_operator, weighted_norm
 from .exceptions import FixedPointDivergenceError
 from .model import ModelParams
 
 CONTRACTION_TOL = 1e-12
 MAX_INNER = 8
-
-
-@dataclass
-class EvolutionState:
-    """Complex radial field at one time level."""
-
-    u: np.ndarray
-    t: float
-    dt: float
-    params: ModelParams
-    grid: RadialGrid
 
 
 class CrankNicolson:
@@ -44,24 +33,19 @@ class CrankNicolson:
         self.grid = grid
         self.dt = dt
         self.op = assemble_operator(grid, params.a, sector=0)
-        n = grid.n
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = -0.5 * self.op.sup_diag
-        ab[1, :] = 1j / dt - 0.5 * self.op.diag
-        ab[2, :-1] = -0.5 * self.op.sub_diag
-        self._lhs_banded = ab
+        self._lhs_banded = self.op.banded(-0.5, 1j / dt)     # i/dt - A0/2
 
     def step(self, u: np.ndarray) -> np.ndarray:
         p = self.params.p
         rhs_linear = (1j / self.dt) * u + 0.5 * self.op.apply(u)
         mid = u.copy()
-        scale = max(np.sqrt(float(np.sum(self.grid.volumes * np.abs(u) ** 2))), 1e-300)
+        scale = max(weighted_norm(self.grid, u), 1e-300)
         err_prev = np.inf
         for _ in range(MAX_INNER):
             nonlin = np.abs(mid) ** (p - 1.0) * mid
             u_next = solve_banded((1, 1), self._lhs_banded, rhs_linear - nonlin)
             mid_next = 0.5 * (u_next + u)
-            err = np.sqrt(float(np.sum(self.grid.volumes * np.abs(mid_next - mid) ** 2))) / scale
+            err = weighted_norm(self.grid, mid_next - mid) / scale
             mid = mid_next
             if err < CONTRACTION_TOL:
                 # One polishing pass so the committed step sits well below tol.
@@ -73,14 +57,6 @@ class CrankNicolson:
             err_prev = err
         raise FixedPointDivergenceError(
             f"midpoint iteration failed to contract (last error {err:.3e})")
-
-
-def step(state: EvolutionState) -> EvolutionState:
-    """Advance one Crank-Nicolson step; raises FixedPointDivergenceError on breakdown."""
-    stepper = CrankNicolson(state.params, state.grid, state.dt)
-    u_next = stepper.step(state.u)
-    return EvolutionState(u=u_next, t=state.t + state.dt, dt=state.dt,
-                          params=state.params, grid=state.grid)
 
 
 @dataclass
@@ -148,13 +124,16 @@ def evolve_and_trace(params: ModelParams, u0, t_final: float, dt: float,
     times, vs, ps, ms, es, gs, ls = [], [], [], [], [], [], []
 
     def record(t, u):
+        kin = grid.measure * stepper.op.gradient_energy(u)
+        lp1 = functionals.lp_power_of(grid, u, params.p + 1.0)
+        energy, virial = functionals.energy_and_virial(params, kin, lp1)
         times.append(t)
         vs.append(functionals.variance_of(params, grid, u))
-        ps.append(functionals.virial_of(params, grid, u))
+        ps.append(virial)
         ms.append(functionals.mass_of(grid, u))
-        es.append(functionals.energy_of(params, grid, u))
-        gs.append(functionals.kinetic_of(grid, params.a, u))
-        ls.append(functionals.lp_power_of(grid, u, params.p + 1.0))
+        es.append(energy)
+        gs.append(kin)
+        ls.append(lp1)
 
     record(0.0, u)
     grad0 = max(gs[0], 1e-300)

@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discretization import Profile, RadialGrid, gradient_energy
+from .discretization import (Profile, RadialGrid, SectorOperator, assemble_operator,
+                             gradient_energy)
 from .exceptions import InvalidParameterError
-from .model import ModelParams, profile_evaluator
+from .model import ModelParams, dilate
 
 
 def mass_of(grid: RadialGrid, u: np.ndarray) -> float:
@@ -35,17 +36,27 @@ def kinetic_of(grid: RadialGrid, a: float, u: np.ndarray) -> float:
     return grid.measure * gradient_energy(grid, a, u)
 
 
+def energy_and_virial(params: ModelParams, kin: float, lp1: float) -> tuple[float, float]:
+    """E and P from kin = integral |x|^{2a}|grad u|^2 and lp1 = integral |u|^{p+1}.
+
+    E = (1/2) kin - lp1/(p+1) and P = (1-a)/2 kin - alpha/(2(p+1)) lp1, with
+    alpha = d(p-1)/2.
+    """
+    alpha = params.d * (params.p - 1.0) / 2.0
+    return (0.5 * kin - lp1 / (params.p + 1.0),
+            0.5 * (1.0 - params.a) * kin - alpha / (2.0 * (params.p + 1.0)) * lp1)
+
+
 def energy_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     """E = (1/2) integral |x|^{2a}|grad u|^2 - (1/(p+1)) integral |u|^{p+1}."""
-    return 0.5 * kinetic_of(grid, params.a, u) \
-        - lp_power_of(grid, u, params.p + 1.0) / (params.p + 1.0)
+    return energy_and_virial(params, kinetic_of(grid, params.a, u),
+                             lp_power_of(grid, u, params.p + 1.0))[0]
 
 
 def virial_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     """P(u) = (1-a)/2 integral |x|^{2a}|grad u|^2 - alpha/(2(p+1)) integral |u|^{p+1}."""
-    alpha = params.d * (params.p - 1.0) / 2.0
-    return 0.5 * (1.0 - params.a) * kinetic_of(grid, params.a, u) \
-        - alpha / (2.0 * (params.p + 1.0)) * lp_power_of(grid, u, params.p + 1.0)
+    return energy_and_virial(params, kinetic_of(grid, params.a, u),
+                             lp_power_of(grid, u, params.p + 1.0))[1]
 
 
 def variance_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
@@ -54,11 +65,25 @@ def variance_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     return grid.measure * float(np.sum(grid.volumes * weight * np.abs(u) ** 2))
 
 
+def h_norm_sq(op: SectorOperator, u: np.ndarray, measure: float) -> float:
+    """|u|_{H^{1,a}}^2 = measure <(A0 + I) u, u>_w for real u, Dirichlet closure included.
+
+    measure turns op's cell-volume quadrature into the full-space integral:
+    the grid's `measure`, or the line's where op is one branch of a line.
+    """
+    return measure * (op.quad_form(u) + float(np.sum(op.grid.volumes * u * u)))
+
+
+def weinstein_of(op: SectorOperator, u: np.ndarray, p: float,
+                 measure: float) -> tuple[float, float]:
+    """J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 and integral |u|^{p+1}, for the sector-0 op."""
+    lam = measure * float(np.sum(op.grid.volumes * np.abs(u) ** (p + 1.0)))
+    return h_norm_sq(op, u, measure) / lam ** (2.0 / (p + 1.0)), lam
+
+
 def weinstein_quotient(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
-    """J[u] = (integral |x|^{2a}|grad u|^2 + |u|^2) / |u|_{p+1}^2."""
-    num = kinetic_of(grid, params.a, u) + mass_of(grid, u)
-    den = lp_power_of(grid, u, params.p + 1.0) ** (2.0 / (params.p + 1.0))
-    return num / den
+    """J[u] = (integral |x|^{2a}|grad u|^2 + |u|^2) / |u|_{p+1}^2, as the minimizer has it."""
+    return weinstein_of(assemble_operator(grid, params.a), u, params.p, grid.measure)[0]
 
 
 @dataclass(frozen=True)
@@ -85,19 +110,19 @@ def pohozaev_coefficient(params: ModelParams) -> float:
 def evaluate_identities(params: ModelParams, profile: Profile) -> IdentityReport:
     """Pohozaev residuals (relative to the kinetic term), virial value, invariants."""
     grid, u = profile.grid, profile.values
-    kin = kinetic_of(grid, params.a, u)
+    op = assemble_operator(grid, params.a)
+    kin = grid.measure * op.gradient_energy(u)
     mass = mass_of(grid, u)
-    lp1 = lp_power_of(grid, u, params.p + 1.0)
+    j, lp1 = weinstein_of(op, u, params.p, grid.measure)
     coeff = pohozaev_coefficient(params)
-    res1 = abs(kin - coeff * lp1) / kin
-    res2 = abs(params.omega * mass - (1.0 - coeff) * lp1) / kin
+    energy, virial = energy_and_virial(params, kin, lp1)
     return IdentityReport(
         mass=mass,
-        energy=0.5 * kin - lp1 / (params.p + 1.0),
-        j=weinstein_quotient(params, grid, u),
-        pohozaev_1=res1,
-        pohozaev_2=res2,
-        p=virial_of(params, grid, u),
+        energy=energy,
+        j=j,
+        pohozaev_1=abs(kin - coeff * lp1) / kin,
+        pohozaev_2=abs(params.omega * mass - (1.0 - coeff) * lp1) / kin,
+        p=virial,
         alpha=params.d * (params.p - 1.0) / 2.0,
     )
 
@@ -111,16 +136,7 @@ def l2_scale(profile: Profile, lam: float, grid: RadialGrid | None = None) -> Pr
     """
     if not (lam > 0.0):
         raise InvalidParameterError(f"scale factor must be positive, got {lam}")
-    src = profile.grid
-    amp = lam ** (src.d / 2.0)
-    if grid is None:
-        if lam == 1.0:
-            return Profile(grid=src, values=profile.values.copy(),
-                           omega=profile.omega, residual=profile.residual)
-        return Profile(grid=src.with_r_max(src.r_max / lam),
-                       values=amp * profile.values.copy(), omega=profile.omega)
-    values = amp * profile_evaluator(profile)(lam * grid.nodes)
-    return Profile(grid=grid, values=values, omega=profile.omega)
+    return dilate(profile, lam ** (profile.grid.d / 2.0), lam, profile.omega, grid)
 
 
 def scaled_energy(params: ModelParams, profile: Profile, lam: float) -> tuple[float, float]:

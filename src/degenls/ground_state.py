@@ -37,10 +37,14 @@ class MinimizerReport:
 
 def el_residual(params: ModelParams, grid: RadialGrid | LineGrid, values: np.ndarray) -> float:
     """Full-space weighted norm of A0 u + omega u - |u|^{p-1} u."""
-    op = assemble_operator(grid, params.a, sector=0)
-    defect = op.apply(values) + params.omega * values \
-        - np.abs(values) ** (params.p - 1.0) * values
-    return np.sqrt(grid.measure) * weighted_norm(grid, defect)
+    return _defect_norm(assemble_operator(grid, params.a), grid.measure, values, params.omega,
+                        np.abs(values) ** (params.p - 1.0) * values)
+
+
+def _defect_norm(op: SectorOperator, measure: float, u: np.ndarray, omega: float,
+                 nonlinear: np.ndarray) -> float:
+    """The Euler-Lagrange defect sqrt(measure) |A0 u + omega u - nonlinear|_w."""
+    return np.sqrt(measure) * weighted_norm(op.grid, op.apply(u) + omega * u - nonlinear)
 
 
 def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
@@ -49,13 +53,12 @@ def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
 
     dJ[u;h] = <grad, h> with <f,g> = |S^{d-1}| sum_i w_i f_i g_i.
     """
-    a, p = params.a, params.p
-    op = assemble_operator(grid, a, sector=0)
-    lin = op.apply(u) + u
-    norm_sq = grid.measure * float(np.sum(grid.volumes * u * lin))
+    p = params.p
+    op = assemble_operator(grid, params.a, sector=0)
+    norm_sq = functionals.h_norm_sq(op, u, grid.measure)
     lam = functionals.lp_power_of(grid, u, p + 1.0)
     den = lam ** (2.0 / (p + 1.0))
-    return (2.0 / den) * (lin - (norm_sq / lam) * np.abs(u) ** (p - 1.0) * u)
+    return (2.0 / den) * (op.apply(u) + u - (norm_sq / lam) * np.abs(u) ** (p - 1.0) * u)
 
 
 # Centre of the seed of the full-line flow.  An even seed stays even under the
@@ -104,35 +107,21 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
                     tau: float) -> MinimizerReport:
     """The flow of `minimize_weinstein` for the operator op, started from seed."""
     p = params.p
-    grid = op.grid
-    sa = measure
-    w = grid.volumes
-    sqw = np.sqrt(w)
-    diag_lin = op.diag + 1.0                       # A0 + I
-    off_sym = -op.flux[1:-1] / np.sqrt(w[:-1] * w[1:])
+    n = op.grid.n
+    sqw = np.sqrt(op.grid.volumes)
+    diag_lin, off = op.sym_tridiagonal()
+    diag_lin += 1.0                                # A0 + I
 
     def factorize(step):
-        ab = np.zeros((2, grid.n))
-        ab[0, 1:] = step * off_sym
+        ab = np.zeros((2, n))
+        ab[0, 1:] = step * off
         ab[1, :] = 1.0 + step * diag_lin
         return cholesky_banded(ab)
 
-    def h_norm(u):
-        return np.sqrt(sa * (op.quad_form(u) + float(np.sum(w * u * u))))
-
-    def j_and_lam(u):
-        """The quotient J and the integral of u^{p+1}."""
-        lam = sa * float(np.sum(w * u ** (p + 1.0)))
-        return (op.quad_form(u) + float(np.sum(w * u * u))) * sa / lam ** (2.0 / (p + 1.0)), lam
-
-    def residual_of(u, u_p, kappa):
-        defect = op.apply(u) + u - kappa * u_p
-        return np.sqrt(sa) * weighted_norm(grid, defect)
-
     # lam and u_p = u^p belong to the current iterate u; each is computed once
     # per accepted step and reused by the next one.
-    u = seed / h_norm(seed)
-    j_curr, lam = j_and_lam(u)
+    u = seed / np.sqrt(functionals.h_norm_sq(op, seed, measure))
+    j_curr, lam = functionals.weinstein_of(op, u, p, measure)
     u_p = u ** p
     chol = factorize(tau)
     tau_min = 1e-6
@@ -142,8 +131,8 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
         kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
         rhs = u + tau * kappa * u_p
         v = cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw
-        v /= h_norm(v)
-        j_new, lam_new = j_and_lam(v)
+        v /= np.sqrt(functionals.h_norm_sq(op, v, measure))
+        j_new, lam_new = functionals.weinstein_of(op, v, p, measure)
         if j_new > j_curr * (1.0 + 1e-15) and tau > tau_min:
             tau = 0.5 * tau
             chol = factorize(tau)
@@ -155,33 +144,39 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
         if accepted % 20 == 0 and tau < 10.0:
             tau = 1.5 * tau
             chol = factorize(tau)
-        res = residual_of(u, u_p, 1.0 / lam)
+        res = _defect_norm(op, measure, u, 1.0, (1.0 / lam) * u_p)
         if res < tol and dj <= 1e-12 * abs(j_curr):
             return MinimizerReport(phi_normalized=u, j_min=j_curr, lam=lam,
                                    kappa=1.0 / lam, iterations=iteration,
-                                   residual=res, grid=grid)
+                                   residual=res, grid=op.grid)
     raise NonConvergenceError(
         f"Weinstein flow did not reach tol={tol} in {max_iter} iterations",
-        residual=residual_of(u, u_p, 1.0 / lam), iterations=max_iter)
+        residual=_defect_norm(op, measure, u, 1.0, (1.0 / lam) * u_p), iterations=max_iter)
 
 
 def ground_state(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
                  max_iter: int = 50000) -> Profile:
-    """Converged wave at params.omega on the given grid via minimization + rescaling.
+    """Converged wave at params.omega on the given grid via minimization + rescaling."""
+    return minimize_and_rescale(params, grid, tol, max_iter)[1]
 
-    The minimization runs at the unit-frequency normalization on the inversely
-    rescaled grid, so the exact frequency rescaling lands back on `grid`
-    without interpolation.
+
+def minimize_and_rescale(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
+                         max_iter: int = 50000) -> tuple[MinimizerReport, Profile]:
+    """The minimization behind `ground_state`, and the wave at params.omega it gives on grid.
+
+    The minimization runs at the unit-frequency normalization on the grid
+    stretched by omega^{1/(2(1-a))}, so the exact frequency rescaling lands
+    back on `grid` without interpolation.
     """
     if params.omega == 1.0:
         report = minimize_weinstein(params, grid, tol=tol, max_iter=max_iter)
-        return report.profile(params)
+        return report, report.profile(params)
     stretch = params.omega ** (1.0 / (2.0 * (1.0 - params.a)))
-    unit_grid = grid.with_r_max(grid.r_max * stretch)
-    report = minimize_weinstein(params, unit_grid, tol=tol, max_iter=max_iter)
+    report = minimize_weinstein(params, grid.with_r_max(grid.r_max * stretch), tol=tol,
+                                max_iter=max_iter)
     wave = omega_rescale(report.profile(params), params)
     wave.residual = el_residual(params, wave.grid, wave.values)
-    return wave
+    return report, wave
 
 
 def _series_start(params: ModelParams, beta: float, rho: float) -> tuple[float, float]:

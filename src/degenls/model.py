@@ -51,14 +51,15 @@ def exists_window(params: ModelParams) -> bool:
     return 0.5 - 1.0 / (params.p + 1.0) < (1.0 - params.a) / params.d
 
 
-def interpolation_theta(params: ModelParams) -> float:
-    """theta = (d/(1-a)) (1/2 - 1/(p+1)); the window is exactly theta in (0, 1)."""
-    return params.d / (1.0 - params.a) * (0.5 - 1.0 / (params.p + 1.0))
-
-
 def critical_power(params: ModelParams) -> float:
     """Stability threshold p_c = 1 + 4(1-a)/d."""
     return 1.0 + 4.0 * (1.0 - params.a) / params.d
+
+
+def is_degenerate(params: ModelParams) -> bool:
+    """True where p sits at the threshold p_c, to relative precision DEGENERATE_BAND."""
+    p_c = critical_power(params)
+    return abs(params.p - p_c) < DEGENERATE_BAND * p_c
 
 
 def mass_scaling_exponent(params: ModelParams) -> float:
@@ -71,7 +72,7 @@ def classify_by_threshold(params: ModelParams) -> StabilityVerdict:
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
     p_c = critical_power(params)
-    if abs(params.p - p_c) < DEGENERATE_BAND * p_c:
+    if is_degenerate(params):
         return StabilityVerdict(threshold=p_c, slope_sign=0, verdict="Degenerate")
     exponent = mass_scaling_exponent(params)
     sign = 1 if exponent > 0 else -1
@@ -129,30 +130,37 @@ def profile_evaluator(profile: Profile, a: float | None = None, tail_rel: float 
     return evaluate
 
 
+def dilate(profile: Profile, amp: float, stretch: float, omega: float,
+           grid: RadialGrid | LineGrid | None = None, a: float | None = None) -> Profile:
+    """The samples of amp * u(stretch x), labelled with frequency omega.
+
+    With grid=None they ride on the exactly rescaled grid (same cell layout,
+    radii divided by stretch), which keeps every scaling law exact at the
+    discrete level; passing a target grid interpolates onto it instead
+    (`profile_evaluator`, tail exponent 1 - a, fitted when a is None).
+    """
+    if grid is None:
+        src = profile.grid
+        if amp == 1.0 and stretch == 1.0:
+            return Profile(grid=src, values=profile.values.copy(), omega=omega,
+                           residual=profile.residual)
+        return Profile(grid=src.with_r_max(src.r_max / stretch), values=amp * profile.values,
+                       omega=omega)
+    values = amp * profile_evaluator(profile, a)(stretch * grid.nodes)
+    return Profile(grid=grid, values=values, omega=omega)
+
+
 def omega_rescale(profile: Profile, params: ModelParams,
                   grid: RadialGrid | LineGrid | None = None) -> Profile:
     """Map a profile at its own frequency to the wave at params.omega.
 
     Uses phi_w(rho) = w^{1/(p-1)} phi_1(w^{1/(2(1-a))} rho) with w the
-    frequency ratio.  With grid=None the output lives on the exactly rescaled
-    grid (same cell layout, radii scaled), which keeps every scaling law exact
-    at the discrete level; passing a target grid interpolates instead.
+    frequency ratio, on the exactly rescaled grid or interpolated onto grid
+    (`dilate`).
     """
+    if profile.grid.d != params.d:
+        raise InvalidParameterError("profile grid dimension does not match params")
     a, p = params.a, params.p
     ratio = params.omega / profile.omega
-    amp = ratio ** (1.0 / (p - 1.0))
-    stretch = ratio ** (1.0 / (2.0 * (1.0 - a)))   # argument factor
-    src = profile.grid
-    if src.d != params.d:
-        raise InvalidParameterError("profile grid dimension does not match params")
-
-    if grid is None:
-        if ratio == 1.0:
-            return Profile(grid=src, values=profile.values.copy(),
-                           omega=params.omega, residual=profile.residual)
-        return Profile(grid=src.with_r_max(src.r_max / stretch),
-                       values=amp * profile.values.copy(), omega=params.omega)
-
-    evaluate = profile_evaluator(profile, a)
-    values = amp * evaluate(stretch * grid.nodes)
-    return Profile(grid=grid, values=values, omega=params.omega)
+    return dilate(profile, ratio ** (1.0 / (p - 1.0)), ratio ** (1.0 / (2.0 * (1.0 - a))),
+                  params.omega, grid, a)

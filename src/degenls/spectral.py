@@ -18,9 +18,7 @@ from . import functionals
 from .discretization import (LineGrid, Profile, SectorOperator, assemble_operator, weighted_inner,
                              weighted_norm)
 from .exceptions import EigensolverError, SingularLPlusError
-from .model import ModelParams, critical_power, mass_scaling_exponent
-
-DEGENERATE_BAND = 1e-12
+from .model import ModelParams, critical_power, is_degenerate, mass_scaling_exponent
 
 
 def sector_list(d: int, l_max: int = 3) -> list[int]:
@@ -129,16 +127,18 @@ class SpectralReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def slope_solve(params: ModelParams, profile: Profile,
+def slope_solve(params: ModelParams, profile: Profile, op: SectorOperator | None = None,
                 lplus_vals: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Solve L+ v = phi in sector 0 (radial, or the whole line); returns (v, relative residual).
 
     Raises SingularLPlusError when L+ carries an eigenvalue within 1e-10 of
     zero in that sector (proximity to the degenerate threshold, or an
-    unexpected kernel).  lplus_vals, the smallest eigenvalues of that L+
-    when the caller has them already, spares the eigen-solve.
+    unexpected kernel).  op, that L+, and lplus_vals, its smallest
+    eigenvalues, spare the assembly and the eigen-solve when the caller has
+    them already.
     """
-    op = assemble_linearized(params, profile, sector=0, sign=+1)
+    if op is None:
+        op = assemble_linearized(params, profile, sector=0, sign=+1)
     vals = eigenvalues(op, 4) if lplus_vals is None else lplus_vals
     if np.min(np.abs(vals)) < 1e-10:
         raise SingularLPlusError(
@@ -199,7 +199,8 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
         )
         sectors.append(counts)
         if sector == 0:
-            vals_p0 = vals_p
+            v = slope_solve(params, profile, op=op_p, lplus_vals=vals_p[:4])[0]
+            slope = grid.measure * weighted_inner(grid, v, phi)
             lmin_minus = float(vals_m[0])
             mode = eigenpairs(op_m, 1)[1][:, 0]
             cosine = abs(weighted_inner(grid, mode, phi)) / (
@@ -213,14 +214,9 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
     kernel_plus = sum(s.kernel_plus for s in sectors)
     gap_minus = min(gap_candidates)
 
-    v, _slope_res = slope_solve(params, profile, lplus_vals=vals_p0[:4])
-    slope = grid.measure * weighted_inner(grid, v, phi)
-
-    p_c = critical_power(params)
-    degenerate = abs(params.p - p_c) < DEGENERATE_BAND * p_c
     n0_d = 1 if slope <= 0.0 else 0
     k_ham = n_plus - n0_d
-    if degenerate:
+    if is_degenerate(params):
         verdict = "Degenerate"
     else:
         verdict = "Stable" if k_ham == 0 else "Unstable"
@@ -235,6 +231,6 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
         slope_analytic=analytic_slope(params, profile),
         k_ham=k_ham,
         verdict=verdict,
-        threshold=p_c,
+        threshold=critical_power(params),
         sectors=sectors,
     )

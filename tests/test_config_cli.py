@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 
@@ -81,6 +82,49 @@ def test_cli_groundstate_outputs(tmp_path, capsys):
     assert minimizer["kappa"] == pytest.approx(16.0 / 3.0, rel=1e-3)
     identities = json.loads((out / "identity_report.json").read_text())
     assert identities["mass"] == pytest.approx(4.0, rel=1e-4)
+
+
+def test_cli_groundstate_minimizes_once_at_shifted_omega(tmp_path, monkeypatch):
+    # omega != 1: minimizer_report.json describes the one minimization whose
+    # wave is written, profile = kappa^{1/(p-1)} phi_normalized rescaled to omega
+    # (the package attribute ground_state is the function, not the module)
+    solver = importlib.import_module("degenls.ground_state")
+    reports = []
+    original = solver.minimize_weinstein
+
+    def counted(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(solver, "minimize_weinstein", counted)
+    monkeypatch.setattr(importlib.import_module("degenls.cli"), "minimize_weinstein", counted,
+                        raising=False)
+    cfg = _write(tmp_path, ANCHOR.replace("p = 3.0", "p = 3.0\nomega = 2.0"))
+    out = tmp_path / "gs"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(reports) == 1
+    rep, params = reports[0], dl.ModelParams(1, 0.0, 3.0, 2.0)
+    wave = dl.omega_rescale(rep.profile(params), params)
+    written = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written[:, 0], wave.grid.nodes)
+    assert np.array_equal(written[:, 1], wave.values)
+    minimizer = json.loads((out / "minimizer_report.json").read_text())
+    assert minimizer == {"j_min": rep.j_min, "lambda": rep.lam, "kappa": rep.kappa,
+                         "iterations": rep.iterations, "residual": rep.residual}
+
+
+@pytest.mark.parametrize("flag, env", [(None, "abc"), (None, "0"), (None, "-3"), (None, "2.5"),
+                                       ("0", None), ("-3", None), ("abc", None),
+                                       ("0", "2")])
+def test_cli_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, flag, env):
+    if env is None:
+        monkeypatch.delenv("DEGENLS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DEGENLS_THREADS", env)
+    argv = ["sweep", "--config", _write(tmp_path, SWEEP), "--out", str(tmp_path / "out")]
+    assert main(argv + ([] if flag is None else ["--threads", flag])) == 64
+    assert "thread" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_spectrum_outputs(tmp_path):

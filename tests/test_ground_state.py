@@ -29,6 +29,18 @@ def test_minimizer_report_consistency(anchor_report, anchor_params):
     assert rep.j_min == pytest.approx(rep.lam ** (-0.5), rel=1e-10)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_quotient_is_the_minimizers_own(a):
+    # weinstein_quotient evaluates J with the flow's own operator form, so the
+    # reported minimum comes back exactly, on a radial grid (a = 0) and on the
+    # full line (a = 0.25)
+    params = dl.ModelParams(1, a, 3.0, 1.0)
+    grid = sweep_grid(params, n=8192)
+    assert isinstance(grid, dl.LineGrid) == (a > 0.0)
+    rep = dl.minimize_weinstein(params, grid)
+    assert dl.functionals.weinstein_quotient(params, rep.grid, rep.phi_normalized) == rep.j_min
+
+
 def test_minimizer_is_local_minimum(anchor_report, anchor_params):
     rng = np.random.default_rng(11)
     rep = anchor_report
