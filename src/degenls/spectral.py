@@ -36,62 +36,144 @@ def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
     return assemble_operator(profile.grid, params.a, sector=sector, potential=potential)
 
 
-def _eigh(op: SectorOperator, k: int, vectors: bool):
-    """k smallest eigenvalues, with weighted-orthonormal eigenvectors when asked for."""
+def _band(op: SectorOperator) -> float:
+    """4 eps max|diag|: the accuracy of op's computed eigenvalues and Sturm counts.
+
+    Bisection resolves eigenvalues to O(eps |T|), and strongly graded grids
+    push |T| high enough that zero modes read as +-1e-7.
+    """
+    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag)))
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float, tol: float,
+            vectors: bool = False):
+    """LAPACK bisection (`stebz`, then `stein` for vectors) on the eigenvalues in (lower, upper]."""
+    try:
+        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="v",
+                                select_range=(lower, upper), tol=tol)
+    except np.linalg.LinAlgError as exc:     # pragma: no cover - LAPACK breakdown
+        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
+def _count(diag: np.ndarray, off: np.ndarray, lower: float, upper: float) -> int:
+    """Number of eigenvalues in (lower, upper], by Sturm count.
+
+    A tolerance wider than the window marks it converged before any
+    bisection step, so the call costs a few LDL^T sweeps.
+    """
+    if upper <= lower:
+        return 0
+    return int(_bisect(diag, off, lower, upper, tol=2.0 * (upper - lower)).size)
+
+
+def _window(diag: np.ndarray, off: np.ndarray, lower: float, k: int, band: float,
+            known: list[tuple[float, int]]) -> float:
+    """Upper end of a window (lower, upper] that holds the k smallest eigenvalues
+    and, where counts can tell, no others.
+
+    Starts from the counts already known, (x, number of eigenvalues <= x)
+    pairs, and from `lower`, below the whole spectrum; widens by doubling
+    steps (the first 1/2, a fraction of the unit frequency; any start is
+    correct) until the window holds k; then bisects its top by counts until it
+    holds no more than k, or the candidates are closer than the band.  Each
+    extra eigenvalue would cost a full bisection, a count only a few sweeps.
+    """
+    below = max([lower] + [x for x, held in known if held < k])
+    enough = [(x, held) for x, held in known if held >= k]
+    if enough:
+        upper, held = min(enough)
+    else:
+        upper, held, step = below, 0, 0.5
+        while held < k:
+            below, upper, step = upper, upper + step, 2.0 * step
+            held = _count(diag, off, lower, upper)
+    while held > k and upper - below > band:
+        mid = 0.5 * (below + upper)
+        inside = _count(diag, off, lower, mid)
+        if inside >= k:
+            upper, held = mid, inside
+        else:
+            below = mid
+    return upper
+
+
+def _lower(op: SectorOperator) -> float:
+    """min(V) less the band: below the spectrum, since the flux part A0 is positive
+    semidefinite in the weighted inner product."""
+    return (0.0 if op.potential is None else float(np.min(op.potential))) - _band(op)
+
+
+def _spectrum(op: SectorOperator, k: int = 0, windows: tuple[tuple[float, float], ...] = (),
+              vectors: bool = False, cap: float = np.inf):
+    """Sturm counts on `windows` and the k smallest eigenpairs of op: the one eigen path.
+
+    Returns (counts, vals, vecs): counts[i] is the number of eigenvalues in
+    windows[i] = (lo, hi], where lo = -inf stands for the bottom of the
+    spectrum; vals are the k smallest eigenvalues at or below cap, ascending;
+    vecs their weighted-orthonormal eigenvectors, or None unless asked for.
+    Every LAPACK call is a select="v" bisection on a window above `_lower`,
+    and no eigenvalue the caller does not read is bisected.  A full-line
+    operator whose branches decouple (a >= 1/2) is block diagonal and is
+    solved one branch at a time, the deeper well first: the other branch
+    only adds eigenvalues below the k-th of the first.
+    """
     branches = op.branches()
     if branches is not None:
-        # Block diagonal: solve each branch at half the size and keep the k
-        # smallest pairs of the union, each vector zero off its branch.
         n = op.grid.half.n
-        (vals_l, vecs_l), (vals_r, vecs_r) = (_eigh(b, k, vectors) for b in branches)
+        parts = [None, None]
+        for i in sorted((0, 1), key=lambda i: _lower(branches[i])):
+            parts[i] = _spectrum(branches[i], k, windows, vectors, cap)
+            if k and parts[i][1].size == k:
+                cap = parts[i][1][-1]
+        (counts_l, vals_l, vecs_l), (counts_r, vals_r, vecs_r) = parts
+        counts = [c_l + c_r for c_l, c_r in zip(counts_l, counts_r)]
         vals = np.concatenate((vals_l, vals_r))
         order = np.argsort(vals, kind="stable")[:k]
         if not vectors:
-            return vals[order], None
+            return counts, vals[order], None
         vecs = np.zeros((op.grid.n, order.size))
         for j, i in enumerate(order):
             if i < vals_l.size:
                 vecs[:n, j] = vecs_l[::-1, i]            # the left branch is mirrored
             else:
                 vecs[n:, j] = vecs_r[:, i - vals_l.size]
-        return vals[order], vecs
+        return counts, vals[order], vecs
     diag, off = op.sym_tridiagonal()
-    try:
-        out = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                               select_range=(0, min(k, op.grid.n) - 1))
-    except np.linalg.LinAlgError as exc:     # pragma: no cover - LAPACK breakdown
-        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    band, lower = _band(op), _lower(op)
+    counts = [_count(diag, off, max(lo, lower), hi) for lo, hi in windows]
+    known = [(hi, held) for (lo, hi), held in zip(windows, counts) if lo == -np.inf]
+    if np.isfinite(cap):
+        known.append((cap, _count(diag, off, lower, cap)))
+        k = min(k, known[-1][1])
+    k = min(k, op.grid.n)
+    if k == 0:
+        return counts, np.empty(0), np.empty((op.grid.n, 0)) if vectors else None
+    out = _bisect(diag, off, lower, _window(diag, off, lower, k, band, known), tol=0.0,
+                  vectors=vectors)
+    vals = out[0] if vectors else out
+    if vals.size < k:                            # pragma: no cover - inconsistent counts
+        raise EigensolverError(f"bisection found {vals.size} of {k} eigenvalues in its window")
     if not vectors:
-        return out, None
-    vals, vecs = out
-    vecs = vecs / np.sqrt(op.grid.volumes)[:, None]
+        return counts, vals[:k], None
+    vals, vecs = vals[:k], out[1][:, :k] / np.sqrt(op.grid.volumes)[:, None]
     norms = np.sqrt(np.sum(op.grid.volumes[:, None] * vecs ** 2, axis=0))
-    return vals, vecs / norms
+    return counts, vals, vecs / norms
 
 
 def eigenpairs(op: SectorOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k smallest eigenpairs; eigenvectors are orthonormal in the weighted inner product.
-
-    A full-line operator whose branches decouple (a >= 1/2) is block diagonal
-    and is solved branch by branch.
-    """
-    return _eigh(op, k, vectors=True)
+    """k smallest eigenpairs; eigenvectors are orthonormal in the weighted inner product."""
+    _, vals, vecs = _spectrum(op, k, vectors=True)
+    return vals, vecs
 
 
 def eigenvalues(op: SectorOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues alone: those of `eigenpairs`, without the vectors' cost."""
-    return _eigh(op, k, vectors=False)[0]
+    return _spectrum(op, k)[1]
 
 
 def morse_index(op: SectorOperator, tol_zero: float = 0.0) -> int:
-    """Number of eigenvalues below -tol_zero."""
-    diag, off = op.sym_tridiagonal()
-    try:
-        vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
-                                select_range=(-np.inf, -tol_zero))
-    except np.linalg.LinAlgError as exc:     # pragma: no cover
-        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return int(vals.size)
+    """Number of eigenvalues at or below -tol_zero, by Sturm count."""
+    return _spectrum(op, windows=((-np.inf, -tol_zero),))[0][0]
 
 
 @dataclass
@@ -102,6 +184,7 @@ class SectorCounts:
     kernel_plus: int
     lowest_plus: float
     lowest_minus: float
+    tol: float              # kernel band of the counts, also the accuracy of the eigenvalues
 
 
 @dataclass
@@ -127,22 +210,21 @@ class SpectralReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def slope_solve(params: ModelParams, profile: Profile, op: SectorOperator | None = None,
-                lplus_vals: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def slope_solve(params: ModelParams, profile: Profile,
+                op: SectorOperator | None = None) -> tuple[np.ndarray, float]:
     """Solve L+ v = phi in sector 0 (radial, or the whole line); returns (v, relative residual).
 
     Raises SingularLPlusError when L+ carries an eigenvalue within 1e-10 of
     zero in that sector (proximity to the degenerate threshold, or an
-    unexpected kernel).  op, that L+, and lplus_vals, its smallest
-    eigenvalues, spare the assembly and the eigen-solve when the caller has
-    them already.
+    unexpected kernel), found by a Sturm count.  op, that L+, spares the
+    assembly when the caller has it already.
     """
     if op is None:
         op = assemble_linearized(params, profile, sector=0, sign=+1)
-    vals = eigenvalues(op, 4) if lplus_vals is None else lplus_vals
-    if np.min(np.abs(vals)) < 1e-10:
+    (near_zero,) = _spectrum(op, windows=((-1e-10, 1e-10),))[0]
+    if near_zero:
         raise SingularLPlusError(
-            f"L+ sector 0 has a near-zero eigenvalue {vals[np.argmin(np.abs(vals))]:.3e}")
+            f"L+ sector 0 has {near_zero} eigenvalue(s) within 1e-10 of zero")
     v = op.solve(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
@@ -157,7 +239,7 @@ def analytic_slope(params: ModelParams, profile: Profile) -> float:
 
 
 def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
-                       tol_zero: float | None = None, k_eigs: int = 6) -> SpectralReport:
+                       tol_zero: float | None = None) -> SpectralReport:
     """Aggregate Morse indices over sectors, verify the L- structure, classify.
 
     n0(D) is 1 when the slope <L+^{-1} phi, phi> is nonpositive and 0
@@ -165,6 +247,11 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
     so it never changes the count); k = n(L+) - n0(D) and the wave is
     spectrally stable iff k = 0.  Waves at the threshold power are flagged
     Degenerate.
+
+    Counts are Sturm counts, exact and uncapped, taken against the sector's
+    kernel band max(tol_zero, 4 eps max|diag(L+)|); the eigenvalues reported
+    (the lowest of L+ and L- in each sector, the second of L- in sector 0)
+    are bisected to within that band, and no others are computed.
     """
     grid, phi = profile.grid, profile.values
     if tol_zero is None:
@@ -180,29 +267,32 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
     gap_candidates = []
     # The full line is a single sector.
     for sector in [0] if isinstance(grid, LineGrid) else sector_list(grid.d, l_max):
-        op_p = assemble_linearized(params, profile, sector, +1)
-        op_m = assemble_linearized(params, profile, sector, -1)
-        vals_p = eigenvalues(op_p, k_eigs)
-        vals_m = eigenvalues(op_m, k_eigs)
-        # The tridiagonal eigensolver resolves eigenvalues to O(eps |T|);
-        # strongly graded grids push |T| high enough that zero modes read
-        # as +-1e-7, so the band widens with the sector's stiffness.
-        tol_sector = max(tol_zero,
-                         4.0 * np.finfo(float).eps * float(np.max(np.abs(op_p.diag))))
-        counts = SectorCounts(
+        # One operator at a time: L+ is released before L- is assembled.
+        op = assemble_linearized(params, profile, sector, +1)
+        tol = max(tol_zero, _band(op))
+        (n_plus, n_nonpositive), vals_p, _ = _spectrum(
+            op, 1, windows=((-np.inf, -tol), (-np.inf, tol)))
+        if sector == 0:
+            v = slope_solve(params, profile, op=op)[0]
+            slope = grid.measure * weighted_inner(grid, v, phi)
+        del op
+        # Sector 0 also needs the L- mode of phi (its lowest) and the gap past it.
+        op = assemble_linearized(params, profile, sector, -1)
+        (n_minus,), vals_m, vecs_m = _spectrum(op, 2 if sector == 0 else 1,
+                                               windows=((-np.inf, -tol),), vectors=sector == 0)
+        del op
+        sectors.append(SectorCounts(
             sector=sector,
-            n_plus=int(np.sum(vals_p < -tol_sector)),
-            n_minus=int(np.sum(vals_m < -tol_sector)),
-            kernel_plus=int(np.sum(np.abs(vals_p) <= tol_sector)),
+            n_plus=n_plus,
+            n_minus=n_minus,
+            kernel_plus=n_nonpositive - n_plus,
             lowest_plus=float(vals_p[0]),
             lowest_minus=float(vals_m[0]),
-        )
-        sectors.append(counts)
+            tol=tol,
+        ))
         if sector == 0:
-            v = slope_solve(params, profile, op=op_p, lplus_vals=vals_p[:4])[0]
-            slope = grid.measure * weighted_inner(grid, v, phi)
             lmin_minus = float(vals_m[0])
-            mode = eigenpairs(op_m, 1)[1][:, 0]
+            mode = vecs_m[:, 0]
             cosine = abs(weighted_inner(grid, mode, phi)) / (
                 weighted_norm(grid, mode) * weighted_norm(grid, phi))
             gap_candidates.append(float(vals_m[1]))

@@ -1,7 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import degenls as dl
+import degenls.spectral as spectral
 from degenls.exceptions import SingularLPlusError
 from degenls.presets import sweep_grid
 from degenls.spectral import analytic_slope, sector_list, slope_solve
@@ -185,7 +191,6 @@ def test_one_dimensional_weight_breaks_evenness(wave_cache):
 def test_decoupled_line_spectrum_is_union_of_branches():
     # a >= 1/2: the full-line operator splits at the origin and is solved
     # branch by branch; the result must be that of the whole matrix
-    from scipy.linalg import eigh_tridiagonal
     g = dl.build_line_grid(12.0, 64, 1.5)
     potential = np.random.default_rng(2).standard_normal(g.n)
     op = dl.assemble_operator(g, 0.75, 0, potential=potential)
@@ -219,3 +224,96 @@ def test_line_minimizer_spectrum(a, p, verdict):
     assert report.verdict == verdict == dl.classify_by_threshold(params).verdict
     assert np.sign(report.slope) == np.sign(report.slope_analytic)
     assert report.slope == pytest.approx(report.slope_analytic, rel=1e-2)
+
+
+def test_morse_counts_are_exact_past_six():
+    # a wide, deep well binds 17 even and 16 odd L+ modes, more than the six
+    # smallest eigenvalues a fixed-size eigen-solve would see
+    grid = dl.build_grid(1, 20.0, 2048)
+    params = dl.ModelParams(1, 0.0, 3.0, 1.0)
+    profile = dl.Profile(grid=grid, values=6.0 * np.exp(-(grid.nodes / 6.0) ** 2), omega=1.0)
+    report = dl.slope_and_classify(params, profile)
+    for counts in report.sectors:
+        op = dl.assemble_linearized(params, profile, counts.sector, +1)
+        diag, off = op.sym_tridiagonal()
+        dense = int(np.sum(eigh_tridiagonal(diag, off, eigvals_only=True) < -1e-8))
+        assert counts.n_plus == dl.morse_index(op, 1e-8) == dense
+    assert [s.n_plus for s in report.sectors] == [17, 16]
+    assert report.n_plus == 33
+
+
+def test_classification_bisects_only_by_value(anchor_wave, anchor_params, monkeypatch):
+    # every eigen call is a select="v" window: no index search over the
+    # whole Gershgorin interval
+    selects = []
+    original = spectral.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        bound.apply_defaults()
+        selects.append(bound.arguments["select"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
+    report = dl.slope_and_classify(anchor_params, anchor_wave)
+    assert report.verdict == "Stable"
+    assert selects and set(selects) == {"v"}
+
+
+def test_sector_band_reported(anchor_wave, anchor_params):
+    import json
+    report = dl.slope_and_classify(anchor_params, anchor_wave)
+    for counts in json.loads(report.to_json())["sectors"]:
+        op = dl.assemble_linearized(anchor_params, anchor_wave, counts["sector"], +1)
+        band = 4.0 * np.finfo(float).eps * np.max(np.abs(op.diag))
+        assert counts["tol"] >= max(1e-8, band)
+
+
+@st.composite
+def small_operators(draw):
+    """A random-potential operator on a small grid: a radial sector for d = 1-3,
+    or the d = 1 line, coupled (a < 1/2) or decoupled (a >= 1/2) at the origin."""
+    kind = draw(st.sampled_from(["radial", "coupled line", "decoupled line"]))
+    n = draw(st.integers(16, 48))
+    r_max = draw(st.floats(2.0, 30.0))
+    gamma = draw(st.floats(1.0, 3.0))
+    if kind == "radial":
+        d = draw(st.integers(1, 3))
+        a = draw(st.floats(0.0, 0.95))
+        sector = draw(st.integers(0, 1 if d == 1 else 3))
+        grid = dl.build_grid(d, r_max, n, gamma)
+    else:
+        a = draw(st.floats(0.0, 0.45) if kind == "coupled line" else st.floats(0.5, 0.95))
+        sector = 0
+        grid = dl.build_line_grid(r_max, n, gamma)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    potential = draw(st.floats(0.0, 50.0)) * rng.standard_normal(grid.n)
+    return dl.assemble_operator(grid, a, sector, potential=potential)
+
+
+@given(op=small_operators(), k=st.integers(1, 6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_eigen_path_matches_dense_reference(op, k, data):
+    diag, off = op.sym_tridiagonal()
+    # The whole spectrum by bisection over the Gershgorin interval: within a
+    # fraction of the band of the exact values, where divide and conquer
+    # (the default, stevd) errs by several bands once a large potential
+    # dominates the diagonal.
+    dense = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
+    band = 4.0 * np.finfo(float).eps * np.max(np.abs(diag))
+
+    vals = dl.eigenvalues(op, k)
+    assert np.allclose(vals, dense[:k], rtol=0.0, atol=band)
+
+    vals, vecs = dl.eigenpairs(op, k)
+    assert np.allclose(vals, dense[:k], rtol=0.0, atol=band)
+    w = op.grid.volumes
+    assert np.allclose(vecs.T @ (w[:, None] * vecs), np.eye(k), atol=1e-9)
+    for j in range(k):
+        res = op.apply(vecs[:, j]) - vals[j] * vecs[:, j]
+        assert dl.weighted_norm(op.grid, res) < 1e-8 * np.max(np.abs(diag))
+
+    # morse_index(op, t) counts the eigenvalues below -t; take -t among the lowest few
+    x = data.draw(st.floats(float(dense[0]) - 1.0, float(dense[min(8, dense.size - 1)]) + 1.0))
+    assume(np.min(np.abs(dense - x)) > band)
+    assert dl.morse_index(op, -x) == int(np.sum(dense < x))
