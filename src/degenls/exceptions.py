@@ -31,7 +31,7 @@ class BracketInvalidError(DegenlsError, ValueError):
 
 
 class StiffnessFailureError(DegenlsError, RuntimeError):
-    """ODE integrator step size underflowed near the degenerate origin."""
+    """ODE integrator failed near the degenerate origin, or two integrations of one shot disagree."""
 
 
 class SingularLPlusError(DegenlsError, RuntimeError):

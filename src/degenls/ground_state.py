@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import functionals
@@ -191,20 +191,28 @@ def _series_start(params: ModelParams, beta: float, rho: float) -> tuple[float, 
     return phi, flux
 
 
-def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float,
-                    rtol: float = 1e-10):
-    """Integrate the flux system outward; returns (classification, solution).
-
-    classification: 'over' (phi crossed zero), 'under' (flux turned positive,
-    i.e. phi started growing again), 'done' (reached r_end with phi tiny).
-    """
+def _shot_rhs(params: ModelParams):
+    """Right-hand side of the flux system for (phi, F = rho^{d-1+2a} phi')."""
     d, a, p, omega = params.d, params.a, params.p, params.omega
     m = d - 1 + 2.0 * a
 
     def rhs(rho, y):
         phi, flux = y
         return [flux / rho ** m, -rho ** (d - 1) * (np.abs(phi) ** (p - 1.0) * phi - omega * phi)]
+    return rhs
 
+
+def _shot_tolerances(beta: float) -> dict:
+    """The RK45 tolerances of every shot at central value beta, stepped or dense."""
+    return {"rtol": 1e-10, "atol": [1e-14 * beta, 1e-14 * beta]}
+
+
+def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float):
+    """Integrate the flux system outward; returns (classification, solution).
+
+    classification: 'over' (phi crossed zero), 'under' (flux turned positive,
+    i.e. phi started growing again), 'done' (reached r_end with phi tiny).
+    """
     def ev_cross(rho, y):
         return y[0]
     ev_cross.terminal = True
@@ -216,17 +224,52 @@ def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     ev_turn.direction = 1.0
 
     y0 = _series_start(params, beta, r0)
-    sol = solve_ivp(rhs, (r0, r_end), y0, method="RK45", rtol=rtol,
-                    atol=[1e-14 * beta, 1e-14 * beta], dense_output=True,
-                    events=[ev_cross, ev_turn])
+    sol = solve_ivp(_shot_rhs(params), (r0, r_end), y0, method="RK45", dense_output=True,
+                    events=[ev_cross, ev_turn], **_shot_tolerances(beta))
     if sol.status == -1:
         raise StiffnessFailureError(f"integrator failed near the origin: {sol.message}")
     if sol.t_events[0].size:
         return "over", sol
     if sol.t_events[1].size:
         return "under", sol
-    phi_end = sol.y[0, -1]
-    return ("done" if phi_end < 1e-6 * beta else "under"), sol
+    return _end_kind(sol.y[0, -1], beta), sol
+
+
+def _end_kind(phi_end: float, beta: float) -> str:
+    """Kind of a shot that reached r_end without an event: 'done' once phi is tiny there."""
+    return "done" if phi_end < 1e-6 * beta else "under"
+
+
+def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float) -> str:
+    """The classification of `_integrate_shot`, from its steps alone.
+
+    Drives RK45 with the start, `_shot_tolerances` and float end points that
+    solve_ivp gives it there, so the accepted steps are the same, and applies
+    the sign tests of the two terminal events on each: phi falling to <= 0
+    from >= 0 is 'over', F rising to >= 0 from <= 0 is 'under'.  No event
+    roots, dense output or stored steps are made.  Only the root times can
+    order two events on one step, so such a beta goes through
+    `_integrate_shot`.
+    """
+    y0 = _series_start(params, beta, r0)
+    solver = RK45(_shot_rhs(params), float(r0), y0, float(r_end), **_shot_tolerances(beta))
+    phi, flux = y0
+    while True:
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessFailureError(f"integrator failed near the origin: {message}")
+        phi_new, flux_new = solver.y
+        over = phi >= 0.0 and phi_new <= 0.0
+        under = flux <= 0.0 and flux_new >= 0.0
+        if over and under:
+            return _integrate_shot(params, beta, r0, r_end)[0]
+        if over:
+            return "over"
+        if under:
+            return "under"
+        if solver.status == "finished":
+            return _end_kind(phi_new, beta)
+        phi, flux = phi_new, flux_new
 
 
 def shoot_profile(params: ModelParams, grid: RadialGrid,
@@ -240,13 +283,16 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     integrated trajectory down to the tail level and continue with the
     stretched-exponential tail exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond, so
     phi(r_max) is below tol * phi(0) by construction.  The ODE is radial, so
-    the grid must be too.
+    the grid must be too.  Bracket and bisection shots are only classified;
+    the chosen beta is integrated once more with dense output and sampled.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
+    if max_bisect < 1:
+        raise InvalidParameterError(f"max_bisect = {max_bisect} must be at least 1")
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
-    omega, p, a = params.omega, params.p, params.a
+    omega, p = params.omega, params.p
     beta_fixed = omega ** (1.0 / (p - 1.0))
     r0 = 0.5 * grid.nodes[0]
     r_end = grid.r_max
@@ -255,8 +301,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
         lo = beta_fixed * (1.0 + 1e-6)
         hi = 2.0 * beta_fixed
         for _ in range(64):
-            kind, _sol = _integrate_shot(params, hi, r0, r_end)
-            if kind == "over":
+            if _classify_shot(params, hi, r0, r_end) == "over":
                 break
             lo = hi
             hi *= 2.0
@@ -268,37 +313,37 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             raise BracketInvalidError(
                 f"beta_lo = {lo} does not exceed the constant-solution value {beta_fixed}"
                 " (phi^p(0) - omega phi(0) must be positive)")
-        kind_lo, _ = _integrate_shot(params, lo, r0, r_end)
-        kind_hi, _ = _integrate_shot(params, hi, r0, r_end)
+        kind_lo = _classify_shot(params, lo, r0, r_end)
+        kind_hi = _classify_shot(params, hi, r0, r_end)
         if kind_lo == kind_hi and not (kind_lo == "done" or kind_hi == "done"):
             raise BracketInvalidError(f"both endpoints classify as '{kind_lo}'")
         if kind_lo == "over" or kind_hi == "under":
             lo, hi = hi, lo
 
-    best = None
     for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        kind, sol = _integrate_shot(params, mid, r0, r_end)
+        beta = 0.5 * (lo + hi)
+        kind = _classify_shot(params, beta, r0, r_end)
         if kind == "done":
-            best = (mid, sol)
             break
         if kind == "over":
-            hi = mid
+            hi = beta
         else:
-            lo = mid
-        best = (mid, sol)
+            lo = beta
         if hi - lo < 4.0 * np.finfo(float).eps * hi:
             break
 
-    beta, sol = best
-    values = _sample_shot(params, grid, beta, r0, sol, tol)
+    final, sol = _integrate_shot(params, beta, r0, r_end)
+    if final != kind:
+        raise StiffnessFailureError(
+            f"beta = {beta!r} classifies as '{kind}' by its steps but as '{final}' by its"
+            " dense integration")
+    values = _sample_shot(params, grid, sol)
     return Profile(grid=grid, values=values, omega=omega,
                    residual=el_residual(params, grid, values), phi0=beta)
 
 
-def _sample_shot(params: ModelParams, grid: RadialGrid, beta: float, r0: float,
-                 sol, tol: float) -> np.ndarray:
-    """Sample the trajectory at the nodes: series / dense output / tail graft."""
+def _sample_shot(params: ModelParams, grid: RadialGrid, sol) -> np.ndarray:
+    """Sample the trajectory at the nodes: dense output / tail graft."""
     a, omega = params.a, params.omega
     # Graft where the trajectory last sits at its minimum positive level.
     t_fine = np.linspace(sol.t[0], sol.t[-1], 4096)
@@ -310,14 +355,12 @@ def _sample_shot(params: ModelParams, grid: RadialGrid, beta: float, r0: float,
 
     nodes = grid.nodes
     values = np.empty(grid.n)
+    dense = nodes <= rho_graft
+    tail = ~dense
+    if dense.any():
+        values[dense] = sol.sol(nodes[dense])[0]
     rate = np.sqrt(omega) / (1.0 - a)
-    for i, rho in enumerate(nodes):
-        if rho < r0:
-            values[i] = _series_start(params, beta, rho)[0]
-        elif rho <= rho_graft:
-            values[i] = sol.sol(rho)[0]
-        else:
-            values[i] = phi_graft * np.exp(-rate * (rho ** (1.0 - a) - rho_graft ** (1.0 - a)))
+    values[tail] = phi_graft * np.exp(-rate * (nodes[tail] ** (1.0 - a) - rho_graft ** (1.0 - a)))
     return values
 
 

@@ -1,12 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import degenls as dl
 from degenls.exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
-                                NonConvergenceError)
+                                NonConvergenceError, StiffnessFailureError)
 from degenls.ground_state import el_residual, weinstein_gradient
 from degenls.presets import default_r_max, line_grading, sweep_grid
 from tests.conftest import SQRT2, sech_values
+
+# The module, not the `ground_state` function the package exports under its name.
+gs = importlib.import_module("degenls.ground_state")
 
 
 def test_minimizer_matches_sech_oracle(anchor_wave, anchor_grid):
@@ -119,6 +124,70 @@ def test_shoot_degenerate_bracket_rejected(anchor_params, anchor_grid):
 def test_shoot_bracket_same_classification_rejected(anchor_params, anchor_grid):
     with pytest.raises(BracketInvalidError):
         dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.01, 1.02))
+
+
+@pytest.mark.parametrize("max_bisect", [0, -1])
+def test_shoot_rejects_max_bisect_below_one(anchor_params, anchor_grid, max_bisect):
+    with pytest.raises(InvalidParameterError):
+        dl.shoot_profile(anchor_params, anchor_grid, max_bisect=max_bisect)
+
+
+@pytest.mark.parametrize("d, a, p, r_max, n", [(1, 0.0, 3.0, 20.0, 4096),
+                                               (2, 0.25, 3.0, 12.0, 1024)])
+def test_shot_classifier_matches_event_integration(d, a, p, r_max, n):
+    # stepping RK45 and testing signs gives the verdict of solve_ivp's
+    # terminal events, near beta* (where 'done' and close calls live), far
+    # from it, below the constant solution and at the bracket search's ends
+    params = dl.ModelParams(d, a, p, 1.0)
+    grid = dl.build_grid(d, r_max, n, 1.0 if a == 0 else 1.5)
+    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
+    beta_star = dl.shoot_profile(params, grid).phi0
+    betas = [beta_star * (1.0 + s * 2.0 ** -k) for k in (1, 3, 8, 17, 30, 40, 45)
+             for s in (-1.0, 1.0)]
+    betas += [1.0 + 1e-6, 2.0, 4.0]       # beta_fixed = 1 at omega = 1
+    kinds = []
+    for beta in betas:
+        kind = gs._classify_shot(params, beta, r0, r_end)
+        assert kind == gs._integrate_shot(params, beta, r0, r_end)[0], beta
+        kinds.append(kind)
+    assert {"over", "under"} <= set(kinds)
+
+
+def test_shoot_profile_integrates_densely_once(anchor_params, anchor_grid, monkeypatch):
+    # the bracket and bisection shots are only classified: one solve_ivp
+    # call, with dense output, for the chosen beta
+    calls = []
+    original = gs.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        calls.append((kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(gs, "solve_ivp", spy)
+    shot = dl.shoot_profile(anchor_params, anchor_grid)
+    assert len(calls) == 1
+    kwargs, sol = calls[0]
+    assert kwargs["dense_output"] is True
+    # the one vectorized sample equals the per-node scalar evaluation
+    t_fine = np.linspace(sol.t[0], sol.t[-1], 4096)
+    phi_fine = sol.sol(t_fine)[0]
+    rho_graft = t_fine[np.argmin(np.where(phi_fine > 0, phi_fine, np.inf))]
+    nodes = anchor_grid.nodes
+    dense = nodes <= rho_graft
+    assert dense.sum() > anchor_grid.n // 2
+    scalar = np.array([sol.sol(rho)[0] for rho in nodes[dense]])
+    scale = np.max(np.abs(shot.values))
+    assert np.max(np.abs(shot.values[dense] - scalar)) <= 1e-15 * scale
+
+
+def test_shoot_refuses_dense_shot_that_classifies_otherwise(anchor_params, anchor_grid,
+                                                            monkeypatch):
+    # a stepper verdict that the dense integration does not reproduce is an
+    # integrator failure, never a silently sampled other trajectory
+    monkeypatch.setattr(gs, "_classify_shot", lambda *args, **kwargs: "done")
+    with pytest.raises(StiffnessFailureError):
+        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.2, 1.8))
 
 
 def test_shot_near_origin_slope_ratio(wave_cache):
