@@ -133,12 +133,9 @@ def _shell_means(rho: np.ndarray, values: np.ndarray, base: float):
 
 
 def _richardson(radii: np.ndarray, g: np.ndarray, q: float) -> float:
-    """Eliminate the O(rho^q) correction from the two finest shell pairs."""
-    ratio10 = (radii[1] / radii[0]) ** q
-    ratio21 = (radii[2] / radii[1]) ** q
-    fine = (ratio10 * g[0] - g[1]) / (ratio10 - 1.0)
-    coarse = (ratio21 * g[1] - g[2]) / (ratio21 - 1.0)
-    return fine, coarse
+    """Eliminate the O(rho^q) correction from the two finest shells."""
+    ratio = (radii[1] / radii[0]) ** q
+    return (ratio * g[0] - g[1]) / (ratio - 1.0)
 
 
 def origin_asymptotics(profile: Profile, params: ModelParams,
@@ -183,9 +180,9 @@ def origin_asymptotics(profile: Profile, params: ModelParams,
         raise ResolutionInsufficientError("origin extrapolation sequence is non-monotone")
 
     q = 2.0 - 2.0 * a
-    slope_fine, _ = _richardson(radii, g_shell, q)
-    curv_fine, _ = _richardson(radii, h_shell, q)
-    phi0_fine, _ = _richardson(radii, phi_shell, q)
+    slope_fine = _richardson(radii, g_shell, q)
+    curv_fine = _richardson(radii, h_shell, q)
+    phi0_fine = _richardson(radii, phi_shell, q)
 
     drive = phi0_fine ** p - omega * phi0_fine
     return OriginReport(

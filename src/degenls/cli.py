@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,6 +51,11 @@ def _profile_rows(profile):
     return ([_fmt(r), _fmt(v)] for r, v in zip(profile.grid.nodes, profile.values))
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _emit_error(code: str, message: str) -> None:
     print(json.dumps({"error": code, "message": message}))
 
@@ -67,9 +73,6 @@ def _resolve_grid(cfg: RunConfig, params: ModelParams,
 
 def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    if not exists_window(params):
-        _emit_error("existence-window", f"parameters {params} violate the existence window")
-        return EXIT_PARAMS
     grid = _resolve_grid(cfg, params)
     log.info("minimizing at d=%d a=%g p=%g on N=%d r_max=%g",
              params.d, params.a, params.p, cfg.n, grid.r_max)
@@ -77,24 +80,17 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     identities = functionals.evaluate_identities(params, wave)
 
     _write_csv(os.path.join(out, "profile.csv"), ["rho", "phi"], _profile_rows(wave))
-    with open(os.path.join(out, "minimizer_report.json"), "w") as fh:
-        fh.write(json.dumps({
-            "j_min": report.j_min, "lambda": report.lam, "kappa": report.kappa,
-            "iterations": report.iterations, "residual": report.residual,
-        }, indent=2, sort_keys=True))
-    with open(os.path.join(out, "identity_report.json"), "w") as fh:
-        fh.write(identities.to_json())
+    _write_json(os.path.join(out, "minimizer_report.json"), {
+        "j_min": report.j_min, "lambda": report.lam, "kappa": report.kappa,
+        "iterations": report.iterations, "residual": report.residual,
+    })
+    _write_json(os.path.join(out, "identity_report.json"), asdict(identities))
 
     if cfg.shoot:
-        shot = shoot_profile(params, grid, tol=1e-10)
+        shot = shoot_profile(params, grid)
         _write_csv(os.path.join(out, "shooting_profile.csv"), ["rho", "phi"],
                    _profile_rows(shot))
-        rec = reconcile(wave, shot)
-        with open(os.path.join(out, "reconcile_report.json"), "w") as fh:
-            fh.write(json.dumps({
-                "max_abs": rec.max_abs, "rel_max": rec.rel_max,
-                "rel_weighted": rec.rel_weighted, "agree": rec.agree,
-            }, indent=2, sort_keys=True))
+        _write_json(os.path.join(out, "reconcile_report.json"), asdict(reconcile(wave, shot)))
 
     worst = max(identities.pohozaev_1, identities.pohozaev_2)
     if worst >= cfg.pohozaev_threshold:
@@ -106,15 +102,11 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    if not exists_window(params):
-        _emit_error("existence-window", f"parameters {params} violate the existence window")
-        return EXIT_PARAMS
     # Classify the same wave as `sweep`: the full-line minimizer at d = 1, a > 0.
     grid = _resolve_grid(cfg, params, line=needs_line(params))
     wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     report = spectral.slope_and_classify(params, wave, l_max=cfg.l_max)
-    with open(os.path.join(out, "spectral_report.json"), "w") as fh:
-        fh.write(report.to_json())
+    _write_json(os.path.join(out, "spectral_report.json"), asdict(report))
     if cfg.eigenfunctions:
         rows = []
         header = ["x" if isinstance(grid, LineGrid) else "rho"]
@@ -133,9 +125,6 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
 
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    if not exists_window(params):
-        _emit_error("existence-window", f"parameters {params} violate the existence window")
-        return EXIT_PARAMS
     grid = _resolve_grid(cfg, params)
     wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
     if cfg.lambda_scale != 1.0:
@@ -149,16 +138,15 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
     _write_csv(os.path.join(out, "final_state.csv"), ["rho", "re_u", "im_u"],
                ([_fmt(r), _fmt(v.real), _fmt(v.imag)]
                 for r, v in zip(grid.nodes, trace.final_u)))
-    with open(os.path.join(out, "evolution_summary.json"), "w") as fh:
-        fh.write(json.dumps({
-            "blowup_flag": bool(trace.blowup_flag),
-            "blowup_time": None if np.isnan(trace.blowup_time) else trace.blowup_time,
-            "halt_reason": trace.halt_reason,
-            "final_time": float(trace.times[-1]),
-            "mass_drift": float(abs(trace.mass[-1] - trace.mass[0]) / trace.mass[0]),
-            "energy_drift": float(abs(trace.energy[-1] - trace.energy[0])
-                                  / max(abs(trace.energy[0]), 1e-300)),
-        }, indent=2, sort_keys=True))
+    _write_json(os.path.join(out, "evolution_summary.json"), {
+        "blowup_flag": bool(trace.blowup_flag),
+        "blowup_time": None if np.isnan(trace.blowup_time) else trace.blowup_time,
+        "halt_reason": trace.halt_reason,
+        "final_time": float(trace.times[-1]),
+        "mass_drift": float(abs(trace.mass[-1] - trace.mass[0]) / trace.mass[0]),
+        "energy_drift": float(abs(trace.energy[-1] - trace.energy[0])
+                              / max(abs(trace.energy[0]), 1e-300)),
+    })
     return EXIT_OK
 
 
@@ -263,6 +251,10 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
+        params = None if args.command == "sweep" else cfg.params()
+        if params is not None and not exists_window(params):
+            _emit_error("existence-window", f"parameters {params} violate the existence window")
+            return EXIT_PARAMS
         if args.command == "groundstate":
             return cmd_groundstate(cfg, args.out)
         if args.command == "spectrum":

@@ -3,8 +3,8 @@
 All radial integrals here are plain half-line quadratures against the cell
 volumes w_i = (rho_{i+1/2}^d - rho_{i-1/2}^d)/d, i.e. they approximate
 integral f(|x|) dx divided by the surface area of the unit sphere.  The
-functionals module reinstates that constant (`measure`) where full-space
-values are reported.
+functionals module reinstates that constant (`measure`, which every
+`SectorOperator` carries) where full-space values are reported.
 
 A `LineGrid` lays the d = 1 problem out on the whole line instead: a radial
 grid and its mirror image, coupled through the origin, for fields that need
@@ -209,7 +209,8 @@ class SectorOperator:
     Row i reads (A u)_i = (1/w_i)[s_{i-1/2}(u_i - u_{i-1}) + s_{i+1/2}(u_i - u_{i+1})]
     + V_i u_i, with ghost values 0 beyond both boundary edges; V, the
     potential, includes the angular barrier l(l+d-2) rho^{2a-2} of sector l.
-    Self-adjoint in the volume-weighted inner product.
+    Self-adjoint in the volume-weighted inner product.  `measure` turns the
+    cell-volume quadrature on op's grid into a full-space integral.
     """
 
     grid: RadialGrid | LineGrid
@@ -217,6 +218,7 @@ class SectorOperator:
     sector: int
     flux: np.ndarray            # s_{j+1/2}, length N+1; [0] and [-1] are the closures
     diag: np.ndarray            # (s_{i-1/2} + s_{i+1/2}) / w_i + V_i
+    measure: float              # grid.measure; the line's 1 on a block from `branches`
     potential: np.ndarray | None = None     # V at nodes; None where it vanishes
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -257,10 +259,14 @@ class SectorOperator:
         return float(np.sum(self.flux[1:-1] * np.abs(np.diff(u)) ** 2))
 
     def sym_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Similarity transform W^{1/2} A W^{-1/2}: symmetric (diag, offdiag) pair."""
+        """Similarity transform W^{1/2} A W^{-1/2}: symmetric (diag, offdiag) pair.
+
+        diag is op's own array, not a copy, so that a spectral call holds one
+        length-n array less: read it, do not write it.
+        """
         w = self.grid.volumes
         off = -self.flux[1:-1] / np.sqrt(w[:-1] * w[1:])
-        return self.diag.copy(), off
+        return self.diag, off
 
     def banded(self, scale: complex = 1.0, shift: complex = 0.0) -> np.ndarray:
         """scale A + shift I in the (1, 1) band layout of `scipy.linalg.solve_banded`."""
@@ -278,9 +284,10 @@ class SectorOperator:
     def branches(self) -> tuple["SectorOperator", "SectorOperator"] | None:
         """The two half-line blocks of a full-line operator whose centre link is zero.
 
-        Returns (left, right), each on the radial half grid; the left block is
-        mirrored, so its sample i sits at x = -rho_i.  None when the operator
-        does not split: a radial operator, or a line coupled through the origin.
+        Returns (left, right), each on the radial half grid and with the line's
+        measure; the left block is mirrored, so its sample i sits at x = -rho_i.
+        None when the operator does not split: a radial operator, or a line
+        coupled through the origin.
         """
         if not isinstance(self.grid, LineGrid) or self.flux[self.grid.half.n] != 0.0:
             return None
@@ -288,7 +295,7 @@ class SectorOperator:
 
         def block(flux, cells):
             return SectorOperator(grid=self.grid.half, a=self.a, sector=0, flux=flux,
-                                  diag=self.diag[cells],
+                                  diag=self.diag[cells], measure=self.measure,
                                   potential=None if pot is None else pot[cells])
 
         return (block(self.flux[n::-1], slice(n - 1, None, -1)),
@@ -328,7 +335,7 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
     if barrier is not None:
         potential = barrier if potential is None else barrier + potential
     return SectorOperator(grid=grid, a=a, sector=ell, flux=flux, diag=diag,
-                          potential=potential)
+                          measure=grid.measure, potential=potential)
 
 
 def weighted_inner(grid: RadialGrid | LineGrid, u: np.ndarray, v: np.ndarray) -> float:

@@ -84,11 +84,6 @@ class VirialTrace:
         d2 = (self.v[2:] - 2.0 * self.v[1:-1] + self.v[:-2]) / h ** 2
         return self.times[1:-1], d2
 
-    def virial_gap(self, a: float) -> tuple[np.ndarray, np.ndarray]:
-        """Discrepancy d2V/dt2 - 16(1-a) P(u) at interior sample times."""
-        times, d2 = self.second_difference()
-        return times, d2 - 16.0 * (1.0 - a) * self.p_values[1:-1]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

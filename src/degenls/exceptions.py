@@ -35,7 +35,10 @@ class StiffnessFailureError(DegenlsError, RuntimeError):
 
 
 class SingularLPlusError(DegenlsError, RuntimeError):
-    """The L+ solve is ill-conditioned: an eigenvalue sits within 1e-10 of zero."""
+    """The L+ solve is ill-conditioned: an eigenvalue lies in the kernel band around zero.
+
+    The band is the one the Morse counts use, max(tol_zero, 4 eps max|diag(L+)|).
+    """
 
 
 class EigensolverError(DegenlsError, RuntimeError):

@@ -4,8 +4,8 @@ Reported integrals are full-space values: every radial quadrature carries the
 surface-measure constant |S^{d-1}| exactly once.  The identities are
 homogeneous in that constant, so residuals are convention-free; keeping it
 explicit avoids the factor-of-2 trap in d = 1 (full line = 2 x half line).
-The constant is the grid's `measure`: on a `LineGrid` the quadrature already
-covers the whole line and the measure is 1.
+The constant is the grid's `measure`, which its operators carry: on a
+`LineGrid` the quadrature already covers the whole line and the measure is 1.
 """
 
 from __future__ import annotations
@@ -65,25 +65,20 @@ def variance_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     return grid.measure * float(np.sum(grid.volumes * weight * np.abs(u) ** 2))
 
 
-def h_norm_sq(op: SectorOperator, u: np.ndarray, measure: float) -> float:
-    """|u|_{H^{1,a}}^2 = measure <(A0 + I) u, u>_w for real u, Dirichlet closure included.
-
-    measure turns op's cell-volume quadrature into the full-space integral:
-    the grid's `measure`, or the line's where op is one branch of a line.
-    """
-    return measure * (op.quad_form(u) + float(np.sum(op.grid.volumes * u * u)))
+def h_norm_sq(op: SectorOperator, u: np.ndarray) -> float:
+    """|u|_{H^{1,a}}^2 = measure <(A0 + I) u, u>_w for real u, Dirichlet closure included."""
+    return op.measure * (op.quad_form(u) + float(np.sum(op.grid.volumes * u * u)))
 
 
-def weinstein_of(op: SectorOperator, u: np.ndarray, p: float,
-                 measure: float) -> tuple[float, float]:
+def weinstein_of(op: SectorOperator, u: np.ndarray, p: float) -> tuple[float, float]:
     """J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 and integral |u|^{p+1}, for the sector-0 op."""
-    lam = measure * float(np.sum(op.grid.volumes * np.abs(u) ** (p + 1.0)))
-    return h_norm_sq(op, u, measure) / lam ** (2.0 / (p + 1.0)), lam
+    lam = op.measure * float(np.sum(op.grid.volumes * np.abs(u) ** (p + 1.0)))
+    return h_norm_sq(op, u) / lam ** (2.0 / (p + 1.0)), lam
 
 
 def weinstein_quotient(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     """J[u] = (integral |x|^{2a}|grad u|^2 + |u|^2) / |u|_{p+1}^2, as the minimizer has it."""
-    return weinstein_of(assemble_operator(grid, params.a), u, params.p, grid.measure)[0]
+    return weinstein_of(assemble_operator(grid, params.a), u, params.p)[0]
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,7 @@ def evaluate_identities(params: ModelParams, profile: Profile) -> IdentityReport
     op = assemble_operator(grid, params.a)
     kin = grid.measure * op.gradient_energy(u)
     mass = mass_of(grid, u)
-    j, lp1 = weinstein_of(op, u, params.p, grid.measure)
+    j, lp1 = weinstein_of(op, u, params.p)
     coeff = pohozaev_coefficient(params)
     energy, virial = energy_and_virial(params, kin, lp1)
     return IdentityReport(

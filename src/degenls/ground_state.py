@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
@@ -37,14 +37,14 @@ class MinimizerReport:
 
 def el_residual(params: ModelParams, grid: RadialGrid | LineGrid, values: np.ndarray) -> float:
     """Full-space weighted norm of A0 u + omega u - |u|^{p-1} u."""
-    return _defect_norm(assemble_operator(grid, params.a), grid.measure, values, params.omega,
+    return _defect_norm(assemble_operator(grid, params.a), values, params.omega,
                         np.abs(values) ** (params.p - 1.0) * values)
 
 
-def _defect_norm(op: SectorOperator, measure: float, u: np.ndarray, omega: float,
+def _defect_norm(op: SectorOperator, u: np.ndarray, omega: float,
                  nonlinear: np.ndarray) -> float:
     """The Euler-Lagrange defect sqrt(measure) |A0 u + omega u - nonlinear|_w."""
-    return np.sqrt(measure) * weighted_norm(op.grid, op.apply(u) + omega * u - nonlinear)
+    return np.sqrt(op.measure) * weighted_norm(op.grid, op.apply(u) + omega * u - nonlinear)
 
 
 def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
@@ -55,7 +55,7 @@ def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
     """
     p = params.p
     op = assemble_operator(grid, params.a, sector=0)
-    norm_sq = functionals.h_norm_sq(op, u, grid.measure)
+    norm_sq = functionals.h_norm_sq(op, u)
     lam = functionals.lp_power_of(grid, u, p + 1.0)
     den = lam ** (2.0 / (p + 1.0))
     return (2.0 / den) * (op.apply(u) + u - (norm_sq / lam) * np.abs(u) ** (p - 1.0) * u)
@@ -90,27 +90,23 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid, tol: fl
     op = assemble_operator(grid, params.a, sector=0)
     branches = op.branches()
     if branches is not None:
-        half = _weinstein_flow(params, branches[1], grid.measure,
-                               np.exp(-grid.half.nodes ** 2), tol, max_iter, tau)
+        half = _weinstein_flow(params, branches[1], np.exp(-grid.half.nodes ** 2), tol,
+                               max_iter, tau)
         u = np.zeros(grid.n)
         u[grid.branch(+1)] = half.phi_normalized
-        return MinimizerReport(phi_normalized=u, j_min=half.j_min, lam=half.lam,
-                               kappa=half.kappa, iterations=half.iterations,
-                               residual=half.residual, grid=grid)
+        return replace(half, phi_normalized=u, grid=grid)
     centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
-    return _weinstein_flow(params, op, grid.measure, np.exp(-(grid.nodes - centre) ** 2),
-                           tol, max_iter, tau)
+    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol, max_iter, tau)
 
 
-def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
-                    seed: np.ndarray, tol: float, max_iter: int,
-                    tau: float) -> MinimizerReport:
+def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray, tol: float,
+                    max_iter: int, tau: float) -> MinimizerReport:
     """The flow of `minimize_weinstein` for the operator op, started from seed."""
     p = params.p
     n = op.grid.n
     sqw = np.sqrt(op.grid.volumes)
-    diag_lin, off = op.sym_tridiagonal()
-    diag_lin += 1.0                                # A0 + I
+    diag, off = op.sym_tridiagonal()
+    diag_lin = diag + 1.0                          # A0 + I
 
     def factorize(step):
         ab = np.zeros((2, n))
@@ -120,8 +116,8 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
 
     # lam and u_p = u^p belong to the current iterate u; each is computed once
     # per accepted step and reused by the next one.
-    u = seed / np.sqrt(functionals.h_norm_sq(op, seed, measure))
-    j_curr, lam = functionals.weinstein_of(op, u, p, measure)
+    u = seed / np.sqrt(functionals.h_norm_sq(op, seed))
+    j_curr, lam = functionals.weinstein_of(op, u, p)
     u_p = u ** p
     chol = factorize(tau)
     tau_min = 1e-6
@@ -131,8 +127,8 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
         kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
         rhs = u + tau * kappa * u_p
         v = cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw
-        v /= np.sqrt(functionals.h_norm_sq(op, v, measure))
-        j_new, lam_new = functionals.weinstein_of(op, v, p, measure)
+        v /= np.sqrt(functionals.h_norm_sq(op, v))
+        j_new, lam_new = functionals.weinstein_of(op, v, p)
         if j_new > j_curr * (1.0 + 1e-15) and tau > tau_min:
             tau = 0.5 * tau
             chol = factorize(tau)
@@ -144,14 +140,14 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, measure: float,
         if accepted % 20 == 0 and tau < 10.0:
             tau = 1.5 * tau
             chol = factorize(tau)
-        res = _defect_norm(op, measure, u, 1.0, (1.0 / lam) * u_p)
+        res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
         if res < tol and dj <= 1e-12 * abs(j_curr):
             return MinimizerReport(phi_normalized=u, j_min=j_curr, lam=lam,
                                    kappa=1.0 / lam, iterations=iteration,
                                    residual=res, grid=op.grid)
     raise NonConvergenceError(
         f"Weinstein flow did not reach tol={tol} in {max_iter} iterations",
-        residual=_defect_norm(op, measure, u, 1.0, (1.0 / lam) * u_p), iterations=max_iter)
+        residual=_defect_norm(op, u, 1.0, (1.0 / lam) * u_p), iterations=max_iter)
 
 
 def ground_state(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
@@ -274,17 +270,20 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float) ->
 
 def shoot_profile(params: ModelParams, grid: RadialGrid,
                   beta_bracket: tuple[float, float] | None = None,
-                  tol: float = 1e-10, max_bisect: int = 200) -> Profile:
+                  max_bisect: int = 200) -> Profile:
     """Profile by bisection on the central value beta = phi(0).
 
     Integrates (phi, F = rho^{d-1+2a} phi') outward from a two-term origin
-    series; overshoot = phi crosses zero, undershoot = F turns positive while
-    phi is above the tail level tol * beta.  The returned samples follow the
-    integrated trajectory down to the tail level and continue with the
-    stretched-exponential tail exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond, so
-    phi(r_max) is below tol * phi(0) by construction.  The ODE is radial, so
-    the grid must be too.  Bracket and bisection shots are only classified;
-    the chosen beta is integrated once more with dense output and sampled.
+    series; overshoot = phi crosses zero, undershoot = F turns positive.  A
+    shot that reaches r_max without either is 'done' when phi < 1e-6 beta
+    there and an undershoot otherwise (`_end_kind`); bisection stops at the
+    first 'done' shot, when the bracket closes to rounding, or after
+    max_bisect shots.  The returned samples follow the integrated trajectory
+    down to the graft point, the lowest positive sample of its dense output,
+    and continue with the stretched-exponential tail
+    exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
+    must be too.  Bracket and bisection shots are only classified; the chosen
+    beta is integrated once more with dense output and sampled.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")

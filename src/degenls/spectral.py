@@ -104,47 +104,23 @@ def _lower(op: SectorOperator) -> float:
 
 
 def _spectrum(op: SectorOperator, k: int = 0, windows: tuple[tuple[float, float], ...] = (),
-              vectors: bool = False, cap: float = np.inf):
+              vectors: bool = False):
     """Sturm counts on `windows` and the k smallest eigenpairs of op: the one eigen path.
 
     Returns (counts, vals, vecs): counts[i] is the number of eigenvalues in
     windows[i] = (lo, hi], where lo = -inf stands for the bottom of the
-    spectrum; vals are the k smallest eigenvalues at or below cap, ascending;
-    vecs their weighted-orthonormal eigenvectors, or None unless asked for.
-    Every LAPACK call is a select="v" bisection on a window above `_lower`,
-    and no eigenvalue the caller does not read is bisected.  A full-line
-    operator whose branches decouple (a >= 1/2) is block diagonal and is
-    solved one branch at a time, the deeper well first: the other branch
-    only adds eigenvalues below the k-th of the first.
+    spectrum; vals are the k smallest eigenvalues, ascending; vecs their
+    weighted-orthonormal eigenvectors, or None unless asked for.  Every
+    LAPACK call is a select="v" bisection on a window above `_lower`, and no
+    eigenvalue the caller does not read is bisected.  A full-line operator
+    whose branches decouple (a >= 1/2) has a centre link of exactly 0, where
+    LAPACK splits the matrix: its spectrum is the union of the two branches',
+    each eigenvector vanishing on the other branch.
     """
-    branches = op.branches()
-    if branches is not None:
-        n = op.grid.half.n
-        parts = [None, None]
-        for i in sorted((0, 1), key=lambda i: _lower(branches[i])):
-            parts[i] = _spectrum(branches[i], k, windows, vectors, cap)
-            if k and parts[i][1].size == k:
-                cap = parts[i][1][-1]
-        (counts_l, vals_l, vecs_l), (counts_r, vals_r, vecs_r) = parts
-        counts = [c_l + c_r for c_l, c_r in zip(counts_l, counts_r)]
-        vals = np.concatenate((vals_l, vals_r))
-        order = np.argsort(vals, kind="stable")[:k]
-        if not vectors:
-            return counts, vals[order], None
-        vecs = np.zeros((op.grid.n, order.size))
-        for j, i in enumerate(order):
-            if i < vals_l.size:
-                vecs[:n, j] = vecs_l[::-1, i]            # the left branch is mirrored
-            else:
-                vecs[n:, j] = vecs_r[:, i - vals_l.size]
-        return counts, vals[order], vecs
     diag, off = op.sym_tridiagonal()
     band, lower = _band(op), _lower(op)
     counts = [_count(diag, off, max(lo, lower), hi) for lo, hi in windows]
     known = [(hi, held) for (lo, hi), held in zip(windows, counts) if lo == -np.inf]
-    if np.isfinite(cap):
-        known.append((cap, _count(diag, off, lower, cap)))
-        k = min(k, known[-1][1])
     k = min(k, op.grid.n)
     if k == 0:
         return counts, np.empty(0), np.empty((op.grid.n, 0)) if vectors else None
@@ -154,7 +130,7 @@ def _spectrum(op: SectorOperator, k: int = 0, windows: tuple[tuple[float, float]
     if vals.size < k:                            # pragma: no cover - inconsistent counts
         raise EigensolverError(f"bisection found {vals.size} of {k} eigenvalues in its window")
     if not vectors:
-        return counts, vals[:k], None
+        return counts, vals[:k].copy(), None    # a view would keep LAPACK's length-n w alive
     vals, vecs = vals[:k], out[1][:, :k] / np.sqrt(op.grid.volumes)[:, None]
     norms = np.sqrt(np.sum(op.grid.volumes[:, None] * vecs ** 2, axis=0))
     return counts, vals, vecs / norms
@@ -205,26 +181,43 @@ class SpectralReport:
     sectors: list[SectorCounts] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["sectors"] = [asdict(s) for s in self.sectors]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def slope_solve(params: ModelParams, profile: Profile,
-                op: SectorOperator | None = None) -> tuple[np.ndarray, float]:
+def _tol_zero(params: ModelParams, profile: Profile) -> float:
+    """Default tol_zero: the solver residual's shift of exact zeros, at least 1e-8 omega.
+
+    Exact zeros (the L- phi mode, translational modes at a = 0) are shifted
+    by the solver residual (Rayleigh bound |defect|_w/|phi|_w, above 1e-8
+    omega once the profile is kappa-rescaled); the kernel band must cover
+    that or zeros count as negatives.
+    """
+    tol_zero = 1e-8 * params.omega
+    if np.isfinite(profile.residual):
+        grid = profile.grid
+        shift = profile.residual / (np.sqrt(grid.measure) * weighted_norm(grid, profile.values))
+        tol_zero = max(tol_zero, 3.0 * shift)
+    return tol_zero
+
+
+def _require_regular(kernel: int, tol: float) -> None:
+    """Refuse a sector-0 L+ with `kernel` eigenvalues in its kernel band (-tol, tol]."""
+    if kernel:
+        raise SingularLPlusError(
+            f"L+ sector 0 has {kernel} eigenvalue(s) within its kernel band {tol:.3e} of zero")
+
+
+def slope_solve(params: ModelParams, profile: Profile) -> tuple[np.ndarray, float]:
     """Solve L+ v = phi in sector 0 (radial, or the whole line); returns (v, relative residual).
 
-    Raises SingularLPlusError when L+ carries an eigenvalue within 1e-10 of
-    zero in that sector (proximity to the degenerate threshold, or an
-    unexpected kernel), found by a Sturm count.  op, that L+, spares the
-    assembly when the caller has it already.
+    Raises SingularLPlusError when a Sturm count finds an eigenvalue of that
+    L+ in its kernel band (-tol, tol], tol = max(tol_zero, 4 eps max|diag|),
+    the band `slope_and_classify` counts against: proximity to the degenerate
+    threshold, or an unexpected kernel.
     """
-    if op is None:
-        op = assemble_linearized(params, profile, sector=0, sign=+1)
-    (near_zero,) = _spectrum(op, windows=((-1e-10, 1e-10),))[0]
-    if near_zero:
-        raise SingularLPlusError(
-            f"L+ sector 0 has {near_zero} eigenvalue(s) within 1e-10 of zero")
+    op = assemble_linearized(params, profile, sector=0, sign=+1)
+    tol = max(_tol_zero(params, profile), _band(op))
+    _require_regular(_spectrum(op, windows=((-tol, tol),))[0][0], tol)
     v = op.solve(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
@@ -251,18 +244,13 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
     Counts are Sturm counts, exact and uncapped, taken against the sector's
     kernel band max(tol_zero, 4 eps max|diag(L+)|); the eigenvalues reported
     (the lowest of L+ and L- in each sector, the second of L- in sector 0)
-    are bisected to within that band, and no others are computed.
+    are bisected to within that band, and no others are computed.  A
+    sector-0 L+ eigenvalue inside its band raises SingularLPlusError: the
+    slope solve there would be ill-conditioned.
     """
     grid, phi = profile.grid, profile.values
     if tol_zero is None:
-        # Exact zeros (the L- phi mode, translational modes at a = 0) are
-        # shifted by the solver residual (Rayleigh bound |defect|_w/|phi|_w,
-        # above 1e-8 omega once the profile is kappa-rescaled); the kernel
-        # band must cover that or zeros count as negatives.
-        tol_zero = 1e-8 * params.omega
-        if np.isfinite(profile.residual):
-            shift = profile.residual / (np.sqrt(grid.measure) * weighted_norm(grid, phi))
-            tol_zero = max(tol_zero, 3.0 * shift)
+        tol_zero = _tol_zero(params, profile)
     sectors = []
     gap_candidates = []
     # The full line is a single sector.
@@ -273,8 +261,8 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
         (n_plus, n_nonpositive), vals_p, _ = _spectrum(
             op, 1, windows=((-np.inf, -tol), (-np.inf, tol)))
         if sector == 0:
-            v = slope_solve(params, profile, op=op)[0]
-            slope = grid.measure * weighted_inner(grid, v, phi)
+            _require_regular(n_nonpositive - n_plus, tol)
+            slope = grid.measure * weighted_inner(grid, op.solve(phi), phi)
         del op
         # Sector 0 also needs the L- mode of phi (its lowest) and the gap past it.
         op = assemble_linearized(params, profile, sector, -1)

@@ -63,9 +63,10 @@ def test_cli_bad_flags_are_usage_errors():
     assert main(["groundstate"]) == 64          # --config required
 
 
-def test_cli_invalid_window_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["groundstate", "spectrum", "evolve"])
+def test_cli_invalid_window_exits_2(tmp_path, capsys, command):
     cfg = _write(tmp_path, "[model]\nd = 3\na = 0.5\np = 5.0\n")
-    code = main(["groundstate", "--config", cfg, "--out", str(tmp_path)])
+    code = main([command, "--config", cfg, "--out", str(tmp_path)])
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "existence-window"

@@ -136,6 +136,22 @@ def test_singular_lplus_guard(anchor_wave, anchor_params):
         slope_solve(params_shifted, shifted)
 
 
+def test_singular_guard_reads_the_kernel_band(anchor_wave, anchor_params):
+    # an L+ eigenvalue parked at about 1e-9: outside +-1e-10, but inside the
+    # kernel band the counts use, where its sign is not resolved
+    op = dl.assemble_linearized(anchor_params, anchor_wave, 0, +1)
+    vals, _ = dl.eigenpairs(op, 1)
+    shifted = dl.Profile(grid=anchor_wave.grid, values=anchor_wave.values,
+                         omega=anchor_wave.omega)
+    params_shifted = dl.ModelParams(1, 0.0, 3.0, anchor_params.omega - vals[0] + 1e-9)
+    parked = dl.eigenvalues(dl.assemble_linearized(params_shifted, shifted, 0, +1), 1)[0]
+    assert 5e-10 < parked < 2e-9
+    with pytest.raises(SingularLPlusError):
+        slope_solve(params_shifted, shifted)
+    with pytest.raises(SingularLPlusError):
+        dl.slope_and_classify(params_shifted, shifted)
+
+
 def test_report_serializes(anchor_wave, anchor_params):
     import json
     report = dl.slope_and_classify(anchor_params, anchor_wave)
@@ -189,8 +205,8 @@ def test_one_dimensional_weight_breaks_evenness(wave_cache):
 
 
 def test_decoupled_line_spectrum_is_union_of_branches():
-    # a >= 1/2: the full-line operator splits at the origin and is solved
-    # branch by branch; the result must be that of the whole matrix
+    # a >= 1/2: the full-line operator splits at the origin, where its
+    # centre link is exactly 0; the result must be that of the whole matrix
     g = dl.build_line_grid(12.0, 64, 1.5)
     potential = np.random.default_rng(2).standard_normal(g.n)
     op = dl.assemble_operator(g, 0.75, 0, potential=potential)
