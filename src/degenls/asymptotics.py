@@ -138,8 +138,7 @@ def _richardson(radii: np.ndarray, g: np.ndarray, q: float) -> float:
     return (ratio * g[0] - g[1]) / (ratio - 1.0)
 
 
-def origin_asymptotics(profile: Profile, params: ModelParams,
-                       base_radius: float | None = None) -> OriginReport:
+def origin_asymptotics(profile: Profile, params: ModelParams) -> OriginReport:
     """Extrapolate the origin coefficients over the three finest dyadic shells.
 
     phi' is evaluated at edge midpoints by differencing; phi'' comes from the
@@ -161,12 +160,11 @@ def origin_asymptotics(profile: Profile, params: ModelParams,
     g = dphi / mids ** (1.0 - 2.0 * a)
     h = -(d - 1.0 + 2.0 * a) * g - (np.abs(phi_mid) ** (p - 1.0) * phi_mid - omega * phi_mid)
 
-    if base_radius is None:
-        # The core radius scales like omega^{-1/(2(1-a))}, not with the domain
-        # size; the shells sit where the first correction term, of relative
-        # size (rho/core)^{2-2a}, is ~1e-3, subject to the grid floor.
-        core = omega ** (-1.0 / (2.0 * (1.0 - a)))
-        base_radius = max(8.0 * grid.nodes[0], core * 1e-3 ** (1.0 / (2.0 - 2.0 * a)))
+    # The core radius scales like omega^{-1/(2(1-a))}, not with the domain
+    # size; the shells sit where the first correction term, of relative
+    # size (rho/core)^{2-2a}, is ~1e-3, subject to the grid floor.
+    core = omega ** (-1.0 / (2.0 * (1.0 - a)))
+    base_radius = max(8.0 * grid.nodes[0], core * 1e-3 ** (1.0 / (2.0 - 2.0 * a)))
     radii, g_shell = _shell_means(mids, g, base_radius)
     _, h_shell = _shell_means(mids, h, base_radius)
     _, phi_shell = _shell_means(mids, phi_mid, base_radius)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import logging
@@ -156,7 +157,7 @@ SWEEP_HEADER = ["a", "p", "p_c", "slope", "n_plus", "gap_minus",
 
 
 def _sweep_point(args) -> tuple[float, float, list[str]]:
-    d, a, p, n, tail_decades, tol = args
+    d, a, p, n, tail_decades, tol, max_iter = args
     try:
         params = ModelParams(d, a, p, 1.0)
     except InvalidParameterError as exc:
@@ -166,7 +167,7 @@ def _sweep_point(args) -> tuple[float, float, list[str]]:
                       "existence-window"]
     try:
         grid = sweep_grid(params, n=n, tail_decades=tail_decades)
-        wave = ground_state(params, grid, tol=tol)
+        wave = ground_state(params, grid, tol=tol, max_iter=max_iter)
         identities = functionals.evaluate_identities(params, wave)
         report = spectral.slope_and_classify(params, wave)
         threshold = classify_by_threshold(params)
@@ -182,16 +183,16 @@ def _sweep_point(args) -> tuple[float, float, list[str]]:
 
 
 def cmd_sweep(cfg: RunConfig, out: str, threads: int) -> int:
-    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.sweep_tail_decades, cfg.tol)
+    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.sweep_tail_decades, cfg.tol, cfg.max_iter)
               for a in cfg.sweep_a_values for p in cfg.sweep_p_values]
+    # A process pool forks all its workers at the first submit: never more than points.
+    workers = min(threads, len(points))
     results = {}
-    if threads > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for a, p, row in pool.map(_sweep_point, points):
-                results[(a, p)] = row
-    else:
-        for point in points:
-            a, p, row = _sweep_point(point)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for a, p, row in mapper(_sweep_point, points):
             results[(a, p)] = row
             log.info("sweep point a=%g p=%g done", a, p)
     ordered = [results[key] for key in sorted(results)]

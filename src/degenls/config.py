@@ -58,22 +58,19 @@ class RunConfig:
         return ModelParams(self.d, self.a, self.p, self.omega)
 
 
+# Each [section] key and the RunConfig field it sets, in the order save_config
+# writes them; a value is parsed as the type of its field's default.
 _LAYOUT = {
-    "model": {"d": int, "a": float, "p": float, "omega": float},
-    "grid": {"n": int, "r_max": float, "grid_gamma": float},
-    "solver": {"tol": float, "max_iter": int, "pohozaev_threshold": float, "shoot": bool},
-    "dynamics": {"t_final": float, "dt": float, "lambda_scale": float, "record_every": int},
-    "spectral": {"l_max": int, "eigenfunctions": bool},
-    "sweep": {"sweep_d": int, "sweep_a_values": tuple, "sweep_p_values": tuple,
-              "sweep_n": int, "sweep_tail_decades": float},
-    "output": {"seed": int, "out_dir": str},
-}
-
-# Keys are written without the section prefix: [sweep] d, a_values, ...
-_KEY_NAMES = {
-    "sweep_d": "d", "sweep_a_values": "a_values", "sweep_p_values": "p_values",
-    "sweep_n": "n", "sweep_tail_decades": "tail_decades", "grid_gamma": "gamma",
-    "out_dir": "dir",
+    "model": {"d": "d", "a": "a", "p": "p", "omega": "omega"},
+    "grid": {"n": "n", "r_max": "r_max", "gamma": "grid_gamma"},
+    "solver": {"tol": "tol", "max_iter": "max_iter", "pohozaev_threshold": "pohozaev_threshold",
+               "shoot": "shoot"},
+    "dynamics": {"t_final": "t_final", "dt": "dt", "lambda_scale": "lambda_scale",
+                 "record_every": "record_every"},
+    "spectral": {"l_max": "l_max", "eigenfunctions": "eigenfunctions"},
+    "sweep": {"d": "sweep_d", "a_values": "sweep_a_values", "p_values": "sweep_p_values",
+              "n": "sweep_n", "tail_decades": "sweep_tail_decades"},
+    "output": {"seed": "seed", "dir": "out_dir"},
 }
 
 
@@ -106,29 +103,23 @@ def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         parser.read_file(fh)
     cfg = RunConfig()
-    for section, keys in _LAYOUT.items():
-        if not parser.has_section(section):
-            continue
-        for attr, kind in keys.items():
-            key = _KEY_NAMES.get(attr, attr)
-            if parser.has_option(section, key):
-                setattr(cfg, attr, _parse_value(parser.get(section, key), kind))
-        for key in parser.options(section):
-            attrs = {_KEY_NAMES.get(a, a): a for a in keys}
-            if key not in attrs:
-                raise InvalidParameterError(f"unknown key '{key}' in section [{section}]")
     for section in parser.sections():
         if section not in _LAYOUT:
             raise InvalidParameterError(f"unknown section [{section}]")
+        fields = _LAYOUT[section]
+        for key in parser.options(section):
+            if key not in fields:
+                raise InvalidParameterError(f"unknown key '{key}' in section [{section}]")
+            kind = type(getattr(RunConfig, fields[key]))     # the class holds the defaults
+            setattr(cfg, fields[key], _parse_value(parser.get(section, key), kind))
     return cfg
 
 
 def save_config(cfg: RunConfig, path: str) -> None:
     lines = []
-    for section, keys in _LAYOUT.items():
+    for section, fields in _LAYOUT.items():
         lines.append(f"[{section}]")
-        for attr in keys:
-            key = _KEY_NAMES.get(attr, attr)
+        for key, attr in fields.items():
             lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
         lines.append("")
     with open(path, "w") as fh:

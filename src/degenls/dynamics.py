@@ -18,11 +18,13 @@ from scipy.linalg import solve_banded
 
 from . import functionals
 from .discretization import Profile, RadialGrid, assemble_operator, weighted_norm
-from .exceptions import FixedPointDivergenceError
+from .exceptions import FixedPointDivergenceError, InvalidParameterError
 from .model import ModelParams
 
 CONTRACTION_TOL = 1e-12
 MAX_INNER = 8
+BLOWUP_GRAD_FACTOR = 1e3     # gradient growth over its initial value that flags blow-up
+REFLECTION_GUARD = 1e-8      # relative mass beyond 0.9 r_max that halts a run
 
 
 class CrankNicolson:
@@ -93,26 +95,21 @@ class VirialTrace:
                 writer.writerow([format(x, ".17g") for x in row])
 
 
-def evolve_and_trace(params: ModelParams, u0, t_final: float, dt: float,
-                     grid: RadialGrid | None = None, record_every: int = 1,
-                     blowup_grad_factor: float = 1e3,
-                     reflection_guard: float = 1e-8) -> VirialTrace:
-    """Evolve u0 and record the virial trace.
+def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float,
+                     record_every: int = 1) -> VirialTrace:
+    """Evolve the profile u0 on its own grid and record the virial trace.
 
-    Blow-up is declared when the gradient term grows by blowup_grad_factor
+    Blow-up is declared when the gradient term grows by BLOWUP_GRAD_FACTOR
     over its initial value or the inner iteration diverges (finite-time
     singularities cannot be followed past grid resolution; concavity of the
     variance plus gradient growth is the accepted signature).  Runs are also
-    halted when relative tail mass beyond 0.9 r_max exceeds the reflection
-    guard, since the outer boundary is reflecting.
+    halted when relative tail mass beyond 0.9 r_max exceeds REFLECTION_GUARD,
+    since the outer boundary is reflecting.
     """
-    if isinstance(u0, Profile):
-        grid = u0.grid
-        u = u0.values.astype(complex)
-    else:
-        if grid is None:
-            raise ValueError("grid is required when u0 is a bare array")
-        u = np.asarray(u0, dtype=complex)
+    if not isinstance(u0, Profile):
+        raise InvalidParameterError(f"u0 must be a Profile, got {type(u0).__name__}")
+    grid = u0.grid
+    u = u0.values.astype(complex)
     stepper = CrankNicolson(params, grid, dt)
     tail_mask = np.abs(grid.nodes) > 0.9 * grid.r_max
 
@@ -149,13 +146,13 @@ def evolve_and_trace(params: ModelParams, u0, t_final: float, dt: float,
         t = k * dt
         if k % record_every == 0 or k == n_steps:
             record(t, u)
-            if gs[-1] > blowup_grad_factor * grad0:
+            if gs[-1] > BLOWUP_GRAD_FACTOR * grad0:
                 blowup, blowup_time = True, t
                 halt = "gradient growth"
                 break
             tail = grid.measure * float(
                 np.sum(grid.volumes[tail_mask] * np.abs(u[tail_mask]) ** 2))
-            if tail > reflection_guard * mass0:
+            if tail > REFLECTION_GUARD * mass0:
                 halt = "reflection guard"
                 break
 

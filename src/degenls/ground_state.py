@@ -65,15 +65,20 @@ def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
 # flow, which then converges to the even saddle; an off-centre one breaks the
 # symmetry the way the minimizer does.
 LINE_SEED_SHIFT = 0.5
+FLOW_TAU = 0.1              # the flow's first step; it is halved and grown as the flow goes
+RECONCILE_REL_TOL = 1e-3    # relative disagreement at which `reconcile` reports a mismatch
 
 
 def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
-                       max_iter: int = 50000, tau: float = 0.1) -> MinimizerReport:
+                       max_iter: int = 50000) -> MinimizerReport:
     """Minimize J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 by a normalized semi-implicit flow.
 
     Each step solves (I + tau (A0 + I)) v = u + tau kappa_u u^p and renormalizes
-    to unit H^{1,a} norm; tau is halved whenever J fails to decrease, so the
-    recorded J sequence is monotone.  The implicit linear part damps the stiff
+    to unit H^{1,a} norm.  tau starts at FLOW_TAU and grows by 1.5 every 20
+    accepted steps while below 10.  A step that would raise J by more than a
+    relative 1e-15 is retried with tau halved, but once tau is at or below
+    1e-6 it is accepted: the recorded J sequence is monotone only while tau
+    stays above 1e-6.  The implicit linear part damps the stiff
     weighted-Laplacian modes unconditionally, and the M-matrix structure of
     the solve keeps iterates positive.  Stops when the relative J change falls
     below 1e-12 and the Euler-Lagrange defect below tol (both required).
@@ -91,16 +96,16 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid, tol: fl
     branches = op.branches()
     if branches is not None:
         half = _weinstein_flow(params, branches[1], np.exp(-grid.half.nodes ** 2), tol,
-                               max_iter, tau)
+                               max_iter)
         u = np.zeros(grid.n)
         u[grid.branch(+1)] = half.phi_normalized
         return replace(half, phi_normalized=u, grid=grid)
     centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
-    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol, max_iter, tau)
+    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol, max_iter)
 
 
 def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray, tol: float,
-                    max_iter: int, tau: float) -> MinimizerReport:
+                    max_iter: int) -> MinimizerReport:
     """The flow of `minimize_weinstein` for the operator op, started from seed."""
     p = params.p
     n = op.grid.n
@@ -119,6 +124,7 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray, t
     u = seed / np.sqrt(functionals.h_norm_sq(op, seed))
     j_curr, lam = functionals.weinstein_of(op, u, p)
     u_p = u ** p
+    tau = FLOW_TAU
     chol = factorize(tau)
     tau_min = 1e-6
     accepted = 0
@@ -373,12 +379,11 @@ class ReconcileReport:
     agree: bool
 
 
-def reconcile(profile_a: Profile, profile_b: Profile,
-              rel_tol: float = 1e-3) -> ReconcileReport:
-    """Cross-validate two solver outputs; flags relative disagreement above rel_tol."""
+def reconcile(profile_a: Profile, profile_b: Profile) -> ReconcileReport:
+    """Cross-validate two solver outputs; flags relative disagreement above RECONCILE_REL_TOL."""
     if profile_a.grid.nodes.shape != profile_b.grid.nodes.shape or \
             not np.allclose(profile_a.grid.nodes, profile_b.grid.nodes):
-        raise InvalidWindowError("profiles must share a grid to be reconciled")
+        raise InvalidParameterError("profiles must share a grid to be reconciled")
     diff = profile_a.values - profile_b.values
     max_abs = float(np.max(np.abs(diff)))
     scale = float(np.max(np.abs(profile_a.values)))
@@ -387,4 +392,5 @@ def reconcile(profile_a: Profile, profile_b: Profile,
         profile_a.grid, profile_a.values)
     return ReconcileReport(max_abs=max_abs, rel_max=rel_max,
                            rel_weighted=rel_weighted,
-                           agree=bool(rel_max < rel_tol and rel_weighted < rel_tol))
+                           agree=bool(rel_max < RECONCILE_REL_TOL
+                                      and rel_weighted < RECONCILE_REL_TOL))

@@ -11,6 +11,7 @@ from .discretization import LineGrid, Profile, RadialGrid
 from .exceptions import GridRangeError, InvalidParameterError, InvalidWindowError
 
 DEGENERATE_BAND = 1e-12
+TAIL_REL = 1e-8     # boundary value, relative to the peak, below which a tail may be grafted
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def classify_by_threshold(params: ModelParams) -> StabilityVerdict:
                             verdict="Stable" if sign > 0 else "Unstable")
 
 
-def profile_evaluator(profile: Profile, a: float | None = None, tail_rel: float = 1e-8):
+def profile_evaluator(profile: Profile, a: float | None = None):
     """Pointwise evaluator for a positive decaying profile.
 
     Monotone cubic interpolation of log(phi) between the first and last node
@@ -88,7 +89,7 @@ def profile_evaluator(profile: Profile, a: float | None = None, tail_rel: float 
     stretched-exponential continuation exp(-c rho^{1-a}) is grafted, anchored
     at the boundary value.  With a=None the tail exponent is fitted from the
     outermost nodes instead.  Raises GridRangeError when the boundary value is
-    not yet in the negligible-tail regime (> tail_rel of the peak), since
+    not yet in the negligible-tail regime (> TAIL_REL of the peak), since
     extrapolation would then be unreliable.  Line profiles are not radial and
     are refused.
     """
@@ -105,7 +106,7 @@ def profile_evaluator(profile: Profile, a: float | None = None, tail_rel: float 
     peak = float(np.max(phi))
     if a is None:
         # Empirical log-linear tail rate from the outer 10% of nodes; only
-        # values below tail_rel * peak ever use it.
+        # values below TAIL_REL * peak ever use it.
         k = max(4, profile.grid.n // 10)
         slope = np.polyfit(nodes[-k:], np.log(phi[-k:]), 1)[0]
         rate, power = max(-slope, 0.0), 1.0
@@ -119,7 +120,7 @@ def profile_evaluator(profile: Profile, a: float | None = None, tail_rel: float 
         out[inside] = np.exp(interp(rho[inside]))
         beyond = ~inside
         if np.any(beyond):
-            if phi_last > tail_rel * peak:
+            if phi_last > TAIL_REL * peak:
                 raise GridRangeError(
                     "rescaled support falls outside the source grid "
                     f"(boundary value {phi_last:.3e} vs peak {peak:.3e})")

@@ -185,7 +185,7 @@ class SpectralReport:
 
 
 def _tol_zero(params: ModelParams, profile: Profile) -> float:
-    """Default tol_zero: the solver residual's shift of exact zeros, at least 1e-8 omega.
+    """tol_zero: the solver residual's shift of exact zeros, at least 1e-8 omega.
 
     Exact zeros (the L- phi mode, translational modes at a = 0) are shifted
     by the solver residual (Rayleigh bound |defect|_w/|phi|_w, above 1e-8
@@ -231,8 +231,7 @@ def analytic_slope(params: ModelParams, profile: Profile) -> float:
     return -0.5 * expo * params.omega ** (expo - 1.0) * mass_unit
 
 
-def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
-                       tol_zero: float | None = None) -> SpectralReport:
+def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3) -> SpectralReport:
     """Aggregate Morse indices over sectors, verify the L- structure, classify.
 
     n0(D) is 1 when the slope <L+^{-1} phi, phi> is nonpositive and 0
@@ -249,8 +248,7 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3,
     slope solve there would be ill-conditioned.
     """
     grid, phi = profile.grid, profile.values
-    if tol_zero is None:
-        tol_zero = _tol_zero(params, profile)
+    tol_zero = _tol_zero(params, profile)
     sectors = []
     gap_candidates = []
     # The full line is a single sector.

@@ -1,5 +1,8 @@
 """Shared fixtures: expensive wave solves are cached for the whole session."""
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,20 @@ import degenls as dl
 
 # Closed-form anchor (d=1, a=0, p=3, omega=1): phi = sqrt(2) sech(rho).
 SQRT2 = np.sqrt(2.0)
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def children_import_checkout():
+    """Child processes (`python -m degenls.cli`) import this checkout's package.
+
+    pytest puts `src` on its own path only; without this a child of an
+    uninstalled checkout cannot import degenls.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def sech_values(nodes):

@@ -205,6 +205,45 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch):
     assert (out / "sweep.csv").exists()
 
 
+def test_cli_sweep_pool_size_and_progress(tmp_path, monkeypatch, caplog):
+    # Two points outside the existence window (no solve); a pool never gets
+    # more workers than points, and each point is logged on either path.
+    made = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("degenls.cli.ProcessPoolExecutor", InProcessPool)
+    caplog.set_level("INFO", logger="degenls")
+    cfg = _write(tmp_path, "[sweep]\nd = 1\na_values = 0.9\np_values = 5.0, 7.0\n")
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--verbose"]
+    for threads, pools in ((1, []), (5000, [2])):
+        caplog.clear()
+        assert main(argv + ["--threads", str(threads)]) == 0
+        assert made == pools
+        assert [r.getMessage() for r in caplog.records if "sweep point" in r.getMessage()] \
+            == ["sweep point a=0.9 p=5 done", "sweep point a=0.9 p=7 done"]
+
+
+def test_cli_sweep_honours_max_iter(tmp_path):
+    cfg = _write(tmp_path, "[solver]\nmax_iter = 3\n\n"
+                           "[sweep]\nd = 1\na_values = 0.0\np_values = 3.0\nn = 1024\n")
+    out = tmp_path / "stalled"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    row = next(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    assert row["error"].startswith("NonConvergenceError")
+
+
 LINE_POINT = """
 [model]
 d = 1

@@ -3,6 +3,7 @@ import pytest
 
 import degenls as dl
 from degenls.dynamics import CrankNicolson
+from degenls.exceptions import InvalidParameterError
 from degenls.functionals import lp_power_of, mass_of
 
 
@@ -95,3 +96,10 @@ def test_trace_csv_columns(evo_setup, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,V,P,mass,energy,gradnorm,Lp1_norm"
     assert len(path.read_text().splitlines()) == trace.times.size + 1
+
+
+def test_evolve_refuses_a_bare_array(evo_setup):
+    # The grid comes with the Profile; a bare array carries none.
+    params, grid, wave = evo_setup
+    with pytest.raises(InvalidParameterError):
+        dl.evolve_and_trace(params, wave.values, t_final=0.01, dt=1e-3)

@@ -214,6 +214,14 @@ def test_reconcile_solvers_agree_on_anchor(anchor_wave, anchor_shot):
     assert rep.agree and rep.rel_max < 1e-3
 
 
+def test_reconcile_refuses_profiles_on_different_grids(anchor_wave):
+    # A caller's mismatch, not a violated existence window.
+    other = dl.ground_state(dl.ModelParams(1, 0.0, 3.0, 1.0), dl.build_grid(1, 20.0, 1024, 1.0))
+    for profile in (other, dl.l2_scale(anchor_wave, 1.1)):
+        with pytest.raises(InvalidParameterError):
+            dl.reconcile(anchor_wave, profile)
+
+
 def test_reconcile_cross_solver_no_closed_form():
     # d=2, a=0.5, p=2.5: mutual agreement is the only oracle
     params = dl.ModelParams(2, 0.5, 2.5, 1.0)
