@@ -106,7 +106,7 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
     # Classify the same wave as `sweep`: the full-line minimizer at d = 1, a > 0.
     grid = _resolve_grid(cfg, params, line=needs_line(params))
     wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
-    report = spectral.slope_and_classify(params, wave, l_max=cfg.l_max)
+    report = spectral.slope_and_classify(params, wave)
     _write_json(os.path.join(out, "spectral_report.json"), asdict(report))
     if cfg.eigenfunctions:
         rows = []

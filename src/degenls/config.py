@@ -4,7 +4,10 @@ Grammar (configparser dialect):
   - sections in square brackets: [model], [grid], [solver], [dynamics],
     [spectral], [sweep], [output];
   - one `key = value` per line; `#` or `;` start comments; keys are
-    lower_snake_case; floats use '.' decimals; lists are comma-separated.
+    lower_snake_case; floats use '.' decimals; lists are comma-separated;
+  - retired keys, `[spectral] l_max` (the sectors end where the spectrum
+    says) and `[output] seed` / `dir`, load and are dropped, so that older
+    configs still load; `save_config` does not write them.
 
 Every field has a default except the model parameters (d, a, p), which any
 single-point subcommand requires; `sweep` reads its own section instead.
@@ -42,7 +45,6 @@ class RunConfig:
     lambda_scale: float = 1.0
     record_every: int = 1
     # spectral
-    l_max: int = 3
     eigenfunctions: bool = False
     # sweep
     sweep_d: int = 1
@@ -50,16 +52,14 @@ class RunConfig:
     sweep_p_values: tuple[float, ...] = (2.0, 3.0, 5.0, 7.0)
     sweep_n: int = 65536
     sweep_tail_decades: float = 7.0
-    # output: accepted so that older configs load; nothing reads them
-    seed: int = 1234
-    out_dir: str = ""
 
     def params(self) -> ModelParams:
         return ModelParams(self.d, self.a, self.p, self.omega)
 
 
 # Each [section] key and the RunConfig field it sets, in the order save_config
-# writes them; a value is parsed as the type of its field's default.
+# writes them; a value is parsed as the type of its field's default.  A retired
+# key maps to None: it loads, so that older configs do, and is dropped.
 _LAYOUT = {
     "model": {"d": "d", "a": "a", "p": "p", "omega": "omega"},
     "grid": {"n": "n", "r_max": "r_max", "gamma": "grid_gamma"},
@@ -67,10 +67,10 @@ _LAYOUT = {
                "shoot": "shoot"},
     "dynamics": {"t_final": "t_final", "dt": "dt", "lambda_scale": "lambda_scale",
                  "record_every": "record_every"},
-    "spectral": {"l_max": "l_max", "eigenfunctions": "eigenfunctions"},
+    "spectral": {"l_max": None, "eigenfunctions": "eigenfunctions"},
     "sweep": {"d": "sweep_d", "a_values": "sweep_a_values", "p_values": "sweep_p_values",
               "n": "sweep_n", "tail_decades": "sweep_tail_decades"},
-    "output": {"seed": "seed", "dir": "out_dir"},
+    "output": {"seed": None, "dir": None},
 }
 
 
@@ -110,6 +110,8 @@ def load_config(path: str) -> RunConfig:
         for key in parser.options(section):
             if key not in fields:
                 raise InvalidParameterError(f"unknown key '{key}' in section [{section}]")
+            if fields[key] is None:
+                continue
             kind = type(getattr(RunConfig, fields[key]))     # the class holds the defaults
             setattr(cfg, fields[key], _parse_value(parser.get(section, key), kind))
     return cfg
@@ -118,9 +120,9 @@ def load_config(path: str) -> RunConfig:
 def save_config(cfg: RunConfig, path: str) -> None:
     lines = []
     for section, fields in _LAYOUT.items():
-        lines.append(f"[{section}]")
-        for key, attr in fields.items():
-            lines.append(f"{key} = {_format_value(getattr(cfg, attr))}")
-        lines.append("")
+        written = [f"{key} = {_format_value(getattr(cfg, attr))}"
+                   for key, attr in fields.items() if attr is not None]
+        if written:
+            lines += [f"[{section}]", *written, ""]
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

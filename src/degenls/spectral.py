@@ -8,6 +8,7 @@ when the count vanishes.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -19,11 +20,6 @@ from .discretization import (LineGrid, Profile, SectorOperator, assemble_operato
                              weighted_norm)
 from .exceptions import EigensolverError, SingularLPlusError
 from .model import ModelParams, critical_power, is_degenerate, mass_scaling_exponent
-
-
-def sector_list(d: int, l_max: int = 3) -> list[int]:
-    """Angular sectors to aggregate: l = 0..l_max for d >= 2, parities for d = 1."""
-    return [0, 1] if d == 1 else list(range(l_max + 1))
 
 
 def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
@@ -147,7 +143,7 @@ def eigenvalues(op: SectorOperator, k: int) -> np.ndarray:
     return _spectrum(op, k)[1]
 
 
-def morse_index(op: SectorOperator, tol_zero: float = 0.0) -> int:
+def morse_index(op: SectorOperator, tol_zero: float) -> int:
     """Number of eigenvalues at or below -tol_zero, by Sturm count."""
     return _spectrum(op, windows=((-np.inf, -tol_zero),))[0][0]
 
@@ -165,7 +161,7 @@ class SectorCounts:
 
 @dataclass
 class SpectralReport:
-    """Morse counts, L- diagnostics, slope, and the index-count verdict."""
+    """Morse counts over all sectors, L- diagnostics, slope, and the index-count verdict."""
 
     n_plus: int
     n_minus: int
@@ -231,7 +227,26 @@ def analytic_slope(params: ModelParams, profile: Profile) -> float:
     return -0.5 * expo * params.omega ** (expo - 1.0) * mass_unit
 
 
-def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3) -> SpectralReport:
+def _last_sector(params: ModelParams, profile: Profile, counts: SectorCounts,
+                 tol_zero: float) -> bool:
+    """Whether no sector after counts' has an L+ or L- eigenvalue at or below its band.
+
+    The line has one sector and d = 1 two.  For d >= 2 sector l+1's operator is
+    sector l's plus the positive barrier (2l+d-1) rho^{2a-2}: by Weyl's
+    inequality, once the lowest L+ eigenvalue of a sector l >= 1 exceeds its tol
+    every later sector's does, and L- = L+ + (p-1) phi^{p-1} >= L+.  For any
+    finite input the sectors end where the barrier at the outermost node,
+    l(l+d-2) rho_N^{2a-2}, lifts min(V+) above tol_zero.
+    """
+    grid, ell = profile.grid, counts.sector
+    if grid.d == 1:
+        return isinstance(grid, LineGrid) or ell == 1
+    v_min = params.omega - params.p * float(np.max(np.abs(profile.values))) ** (params.p - 1.0)
+    floor = v_min + ell * (ell + grid.d - 2) * grid.nodes[-1] ** (2.0 * params.a - 2.0)
+    return ell >= 1 and (counts.lowest_plus > counts.tol or floor > tol_zero)
+
+
+def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     """Aggregate Morse indices over sectors, verify the L- structure, classify.
 
     n0(D) is 1 when the slope <L+^{-1} phi, phi> is nonpositive and 0
@@ -245,14 +260,13 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3) ->
     (the lowest of L+ and L- in each sector, the second of L- in sector 0)
     are bisected to within that band, and no others are computed.  A
     sector-0 L+ eigenvalue inside its band raises SingularLPlusError: the
-    slope solve there would be ill-conditioned.
+    slope solve there would be ill-conditioned.  The sectors run l = 0, 1, ...
+    until `_last_sector`, so the counts are complete across sectors.
     """
     grid, phi = profile.grid, profile.values
     tol_zero = _tol_zero(params, profile)
     sectors = []
-    gap_candidates = []
-    # The full line is a single sector.
-    for sector in [0] if isinstance(grid, LineGrid) else sector_list(grid.d, l_max):
+    for sector in itertools.count():
         # One operator at a time: L+ is released before L- is assembled.
         op = assemble_linearized(params, profile, sector, +1)
         tol = max(tol_zero, _band(op))
@@ -268,45 +282,23 @@ def slope_and_classify(params: ModelParams, profile: Profile, l_max: int = 3) ->
                                                windows=((-np.inf, -tol),), vectors=sector == 0)
         del op
         sectors.append(SectorCounts(
-            sector=sector,
-            n_plus=n_plus,
-            n_minus=n_minus,
-            kernel_plus=n_nonpositive - n_plus,
-            lowest_plus=float(vals_p[0]),
-            lowest_minus=float(vals_m[0]),
-            tol=tol,
-        ))
+            sector=sector, n_plus=n_plus, n_minus=n_minus, kernel_plus=n_nonpositive - n_plus,
+            lowest_plus=float(vals_p[0]), lowest_minus=float(vals_m[0]), tol=tol))
         if sector == 0:
-            lmin_minus = float(vals_m[0])
             mode = vecs_m[:, 0]
             cosine = abs(weighted_inner(grid, mode, phi)) / (
                 weighted_norm(grid, mode) * weighted_norm(grid, phi))
-            gap_candidates.append(float(vals_m[1]))
-        else:
-            gap_candidates.append(float(vals_m[0]))
+            gap_0 = float(vals_m[1])
+        if _last_sector(params, profile, sectors[-1], tol_zero):
+            break
 
     n_plus = sum(s.n_plus for s in sectors)
-    n_minus = sum(s.n_minus for s in sectors)
-    kernel_plus = sum(s.kernel_plus for s in sectors)
-    gap_minus = min(gap_candidates)
-
-    n0_d = 1 if slope <= 0.0 else 0
-    k_ham = n_plus - n0_d
-    if is_degenerate(params):
-        verdict = "Degenerate"
-    else:
-        verdict = "Stable" if k_ham == 0 else "Unstable"
+    gap_minus = min([gap_0] + [s.lowest_minus for s in sectors[1:]])
+    k_ham = n_plus - (1 if slope <= 0.0 else 0)     # n(L+) - n0(D)
+    verdict = "Degenerate" if is_degenerate(params) else "Stable" if k_ham == 0 else "Unstable"
     return SpectralReport(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        kernel_dim_plus=kernel_plus,
-        lmin_minus=lmin_minus,
-        minus_cosine=float(cosine),
-        gap_minus=gap_minus,
-        slope=slope,
-        slope_analytic=analytic_slope(params, profile),
-        k_ham=k_ham,
-        verdict=verdict,
-        threshold=critical_power(params),
-        sectors=sectors,
-    )
+        n_plus=n_plus, n_minus=sum(s.n_minus for s in sectors),
+        kernel_dim_plus=sum(s.kernel_plus for s in sectors), lmin_minus=sectors[0].lowest_minus,
+        minus_cosine=float(cosine), gap_minus=gap_minus, slope=slope,
+        slope_analytic=analytic_slope(params, profile), k_ham=k_ham, verdict=verdict,
+        threshold=critical_power(params), sectors=sectors)

@@ -36,3 +36,25 @@ def test_workload_lookups_resolve():
     assert lookups
     for module, name in sorted(lookups):
         assert hasattr(importlib.import_module(f"degenls.{module}"), name), f"{module}.{name}"
+
+
+def _is_function(span):
+    """Whether span, "module.name" or "module.Class.method", names a callable of degenls."""
+    module, *path = span.split(".")
+    obj = importlib.import_module(f"degenls.{module}")
+    for name in path:
+        obj = getattr(obj, name, None)
+    return callable(obj)
+
+
+def test_run_spans_resolve():
+    # run.py reads a span it finds no trace of as 0: a function deleted or
+    # renamed in the library would turn its metrics to 0 without an error
+    source = (PERFBENCH / "run.py").read_text()
+    spans = set(re.findall(r'(?:calls|secs|self_s|stats\.get)\("([\w.]+)"\)', source))
+    record = re.search(r'for name in \(([^)]*)\):\s*st = stats\.get\(f"(\w+)\.\{name\}"\)',
+                       source)
+    assert spans and record
+    spans |= {f"{record.group(2)}.{name}" for name in re.findall(r'"(\w+)"', record.group(1))}
+    for span in sorted(spans):
+        assert _is_function(span), span

@@ -16,10 +16,22 @@ def test_config_roundtrip_lossless(tmp_path):
                        r_max=33.25, grid_gamma=1.75, tol=3e-9, max_iter=1234,
                        t_final=2.5, dt=0.0025, lambda_scale=1.1,
                        sweep_a_values=(0.0, 0.125), sweep_p_values=(2.0, 2.5),
-                       seed=99, shoot=True, eigenfunctions=True)
+                       shoot=True, eigenfunctions=True)
     path = tmp_path / "run.ini"
     dl.save_config(cfg, path)
     assert dl.load_config(path) == cfg
+
+
+def test_config_loads_retired_keys(tmp_path):
+    # [spectral] l_max and [output] seed / dir load and are dropped; save_config
+    # writes none of them
+    path = tmp_path / "old.ini"
+    path.write_text("[model]\nd = 2\n\n[spectral]\nl_max = 5\neigenfunctions = true\n\n"
+                    "[output]\nseed = 7\ndir = runs/old\n")
+    assert dl.load_config(path) == dl.RunConfig(d=2, eigenfunctions=True)
+    dl.save_config(dl.RunConfig(), path)
+    text = path.read_text()
+    assert "l_max" not in text and "[output]" not in text
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -10,13 +10,7 @@ import degenls as dl
 import degenls.spectral as spectral
 from degenls.exceptions import SingularLPlusError
 from degenls.presets import sweep_grid
-from degenls.spectral import analytic_slope, sector_list, slope_solve
-
-
-def test_sector_lists():
-    assert sector_list(1) == [0, 1]
-    assert sector_list(2) == [0, 1, 2, 3]
-    assert sector_list(3, l_max=2) == [0, 1, 2]
+from degenls.spectral import analytic_slope, slope_solve
 
 
 def test_linearized_potentials(anchor_wave, anchor_params):
@@ -256,6 +250,58 @@ def test_morse_counts_are_exact_past_six():
         assert counts.n_plus == dl.morse_index(op, 1e-8) == dense
     assert [s.n_plus for s in report.sectors] == [17, 16]
     assert report.n_plus == 33
+
+
+def test_counts_are_complete_across_sectors():
+    # the wide, deep well in d = 2: its angular sectors bind L+ modes far past
+    # l = 3, and the counts run until a sector's L+ lies above its band
+    grid = dl.build_grid(2, 20.0, 2048)
+    params = dl.ModelParams(2, 0.0, 3.0, 1.0)
+    profile = dl.Profile(grid=grid, values=6.0 * np.exp(-(grid.nodes / 6.0) ** 2), omega=1.0)
+    report = dl.slope_and_classify(params, profile)
+    assert [s.sector for s in report.sectors] == list(range(len(report.sectors)))
+    counts = [dl.morse_index(dl.assemble_linearized(params, profile, s.sector, +1), s.tol)
+              for s in report.sectors]
+    assert counts == [s.n_plus for s in report.sectors]
+    assert report.n_plus == sum(counts) == 239
+    last = report.sectors[-1]
+    assert last.n_plus == last.kernel_plus == 0 and last.lowest_plus > last.tol
+
+
+@pytest.mark.parametrize("d,a,p,n,kept", [
+    (2, 0.0, 2.0, 65536, 3),      # the translation mode puts sector 1's lowest in its band
+    (3, 0.25, 2.5, 16384, 2),
+])
+def test_sectors_stop_where_weyl_says(d, a, p, n, kept):
+    # sector l+1 is sector l plus a positive barrier: the first l >= 1 whose
+    # L+ lies above its band is the last one counted, and an explicit
+    # aggregation over l = 0..5 gives the same report
+    params = dl.ModelParams(d, a, p, 1.0)
+    wave = dl.ground_state(params, sweep_grid(params, n=n))
+    report = dl.slope_and_classify(params, wave)
+    assert [s.sector for s in report.sectors] == list(range(kept))
+    assert all(s.lowest_plus <= s.tol for s in report.sectors[1:-1])
+    assert report.sectors[-1].lowest_plus > report.sectors[-1].tol
+    if kept == 3:
+        assert report.sectors[1].kernel_plus == 1
+
+    tol_zero = spectral._tol_zero(params, wave)
+    n_plus = n_minus = kernel = 0
+    minus_lows = []
+    for ell in range(6):
+        plus = dl.assemble_linearized(params, wave, ell, +1)
+        tol = max(tol_zero, 4.0 * np.finfo(float).eps * np.max(np.abs(plus.diag)))
+        n_plus += dl.morse_index(plus, tol)
+        kernel += dl.morse_index(plus, -tol) - dl.morse_index(plus, tol)
+        minus = dl.assemble_linearized(params, wave, ell, -1)
+        n_minus += dl.morse_index(minus, tol)
+        minus_lows.append(dl.eigenvalues(minus, 2 if ell == 0 else 1))
+    assert (report.n_plus, report.n_minus, report.kernel_dim_plus) == (n_plus, n_minus, kernel)
+    band = max(s.tol for s in report.sectors)
+    assert report.lmin_minus == pytest.approx(minus_lows[0][0], abs=band)
+    gap = min([minus_lows[0][1]] + [vals[0] for vals in minus_lows[1:]])
+    assert report.gap_minus == pytest.approx(gap, abs=band)
+    assert report.k_ham == n_plus - (1 if report.slope <= 0.0 else 0)
 
 
 def test_classification_bisects_only_by_value(anchor_wave, anchor_params, monkeypatch):
