@@ -77,7 +77,7 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     grid = _resolve_grid(cfg, params)
     log.info("minimizing at d=%d a=%g p=%g on N=%d r_max=%g",
              params.d, params.a, params.p, cfg.n, grid.r_max)
-    report, wave = minimize_and_rescale(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    report, wave = minimize_and_rescale(params, grid, tol=cfg.tol)
     identities = functionals.evaluate_identities(params, wave)
 
     _write_csv(os.path.join(out, "profile.csv"), ["rho", "phi"], _profile_rows(wave))
@@ -105,11 +105,10 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     # Classify the same wave as `sweep`: the full-line minimizer at d = 1, a > 0.
     grid = _resolve_grid(cfg, params, line=needs_line(params))
-    wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    wave = ground_state(params, grid, tol=cfg.tol)
     report = spectral.slope_and_classify(params, wave)
     _write_json(os.path.join(out, "spectral_report.json"), asdict(report))
     if cfg.eigenfunctions:
-        rows = []
         header = ["x" if isinstance(grid, LineGrid) else "rho"]
         columns = [grid.nodes]
         for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -118,16 +117,15 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
             for k in range(3):
                 header.append(f"l_{tag}_{k}")
                 columns.append(vecs[:, k])
-        for i in range(grid.n):
-            rows.append([_fmt(col[i]) for col in columns])
-        _write_csv(os.path.join(out, "eigenfunctions.csv"), header, rows)
+        _write_csv(os.path.join(out, "eigenfunctions.csv"), header,
+                   ([_fmt(x) for x in row] for row in zip(*columns)))
     return EXIT_OK
 
 
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     grid = _resolve_grid(cfg, params)
-    wave = ground_state(params, grid, tol=cfg.tol, max_iter=cfg.max_iter)
+    wave = ground_state(params, grid, tol=cfg.tol)
     if cfg.lambda_scale != 1.0:
         u0 = functionals.l2_scale(wave, cfg.lambda_scale, grid=grid)
     else:
@@ -156,34 +154,33 @@ SWEEP_HEADER = ["a", "p", "p_c", "slope", "n_plus", "gap_minus",
                 "pohozaev_1", "pohozaev_2", "error"]
 
 
-def _sweep_point(args) -> tuple[float, float, list[str]]:
-    d, a, p, n, tail_decades, tol, max_iter = args
+def _sweep_point(args) -> dict[str, str]:
+    """The sweep.csv columns one point fills, by SWEEP_HEADER name."""
+    d, a, p, n, tail_decades, tol = args
+    row = {"a": _fmt(a), "p": _fmt(p)}
     try:
         params = ModelParams(d, a, p, 1.0)
     except InvalidParameterError as exc:
-        return a, p, [_fmt(a), _fmt(p), "", "", "", "", "", "", "", "", str(exc)]
+        return {**row, "error": str(exc)}
     if not exists_window(params):
-        return a, p, [_fmt(a), _fmt(p), "", "", "", "", "", "", "", "",
-                      "existence-window"]
+        return {**row, "error": "existence-window"}
     try:
         grid = sweep_grid(params, n=n, tail_decades=tail_decades)
-        wave = ground_state(params, grid, tol=tol, max_iter=max_iter)
+        wave = ground_state(params, grid, tol=tol)
         identities = functionals.evaluate_identities(params, wave)
         report = spectral.slope_and_classify(params, wave)
         threshold = classify_by_threshold(params)
-        return a, p, [
-            _fmt(a), _fmt(p), _fmt(report.threshold), _fmt(report.slope),
-            str(report.n_plus), _fmt(report.gap_minus), report.verdict,
-            threshold.verdict, _fmt(identities.pohozaev_1),
-            _fmt(identities.pohozaev_2), "",
-        ]
     except DegenlsError as exc:
-        return a, p, [_fmt(a), _fmt(p), "", "", "", "", "", "",
-                      "", "", f"{type(exc).__name__}: {exc}"]
+        return {**row, "error": f"{type(exc).__name__}: {exc}"}
+    return {**row, "p_c": _fmt(report.threshold), "slope": _fmt(report.slope),
+            "n_plus": str(report.n_plus), "gap_minus": _fmt(report.gap_minus),
+            "verdict_spectral": report.verdict, "verdict_threshold": threshold.verdict,
+            "pohozaev_1": _fmt(identities.pohozaev_1),
+            "pohozaev_2": _fmt(identities.pohozaev_2)}
 
 
 def cmd_sweep(cfg: RunConfig, out: str, threads: int) -> int:
-    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.sweep_tail_decades, cfg.tol, cfg.max_iter)
+    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.sweep_tail_decades, cfg.tol)
               for a in cfg.sweep_a_values for p in cfg.sweep_p_values]
     # A process pool forks all its workers at the first submit: never more than points.
     workers = min(threads, len(points))
@@ -192,11 +189,11 @@ def cmd_sweep(cfg: RunConfig, out: str, threads: int) -> int:
         mapper = map
         if workers > 1:
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for a, p, row in mapper(_sweep_point, points):
+        for (_, a, p, *_), row in zip(points, mapper(_sweep_point, points)):
             results[(a, p)] = row
             log.info("sweep point a=%g p=%g done", a, p)
-    ordered = [results[key] for key in sorted(results)]
-    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, ordered)
+    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER,
+               ([results[key].get(col, "") for col in SWEEP_HEADER] for key in sorted(results)))
     return EXIT_OK
 
 

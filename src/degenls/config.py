@@ -5,9 +5,10 @@ Grammar (configparser dialect):
     [spectral], [sweep], [output];
   - one `key = value` per line; `#` or `;` start comments; keys are
     lower_snake_case; floats use '.' decimals; lists are comma-separated;
-  - retired keys, `[spectral] l_max` (the sectors end where the spectrum
-    says) and `[output] seed` / `dir`, load and are dropped, so that older
-    configs still load; `save_config` does not write them.
+  - retired keys, `[solver] max_iter` (the flow stops when its defect
+    stalls), `[spectral] l_max` (the sectors end where the spectrum says) and
+    `[output] seed` / `dir`, load and are dropped, so that older configs
+    still load; `save_config` does not write them.
 
 Every field has a default except the model parameters (d, a, p), which any
 single-point subcommand requires; `sweep` reads its own section instead.
@@ -36,7 +37,6 @@ class RunConfig:
     grid_gamma: float = 0.0
     # solver
     tol: float = 1e-8
-    max_iter: int = 50000
     pohozaev_threshold: float = 1e-6
     shoot: bool = False
     # dynamics
@@ -63,7 +63,7 @@ class RunConfig:
 _LAYOUT = {
     "model": {"d": "d", "a": "a", "p": "p", "omega": "omega"},
     "grid": {"n": "n", "r_max": "r_max", "gamma": "grid_gamma"},
-    "solver": {"tol": "tol", "max_iter": "max_iter", "pohozaev_threshold": "pohozaev_threshold",
+    "solver": {"tol": "tol", "max_iter": None, "pohozaev_threshold": "pohozaev_threshold",
                "shoot": "shoot"},
     "dynamics": {"t_final": "t_final", "dt": "dt", "lambda_scale": "lambda_scale",
                  "record_every": "record_every"},

@@ -104,10 +104,17 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
     singularities cannot be followed past grid resolution; concavity of the
     variance plus gradient growth is the accepted signature).  Runs are also
     halted when relative tail mass beyond 0.9 r_max exceeds REFLECTION_GUARD,
-    since the outer boundary is reflecting.
+    since the outer boundary is reflecting.  dt must be positive and finite,
+    t_final non-negative and finite, and record_every at least 1.
     """
     if not isinstance(u0, Profile):
         raise InvalidParameterError(f"u0 must be a Profile, got {type(u0).__name__}")
+    if not 0.0 < dt < np.inf:
+        raise InvalidParameterError(f"dt = {dt} must be positive and finite")
+    if not 0.0 <= t_final < np.inf:
+        raise InvalidParameterError(f"t_final = {t_final} must be non-negative and finite")
+    if not record_every >= 1:
+        raise InvalidParameterError(f"record_every = {record_every} must be at least 1")
     grid = u0.grid
     u = u0.values.astype(complex)
     stepper = CrankNicolson(params, grid, dt)

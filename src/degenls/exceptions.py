@@ -18,7 +18,7 @@ class GridRangeError(DegenlsError, ValueError):
 
 
 class NonConvergenceError(DegenlsError, RuntimeError):
-    """Iterative solver exhausted max_iter; carries the last residual."""
+    """Iterative solver stalled above its tolerance; carries its best residual and iteration count."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,22 +71,25 @@ def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
 # symmetry the way the minimizer does.
 LINE_SEED_SHIFT = 0.5
 FLOW_TAU = 0.1              # the flow's first step; it is halved and grown as the flow goes
+STALL_WINDOW = 200          # iterations in which the flow's best defect must halve
 RECONCILE_REL_TOL = 1e-3    # relative disagreement at which `reconcile` reports a mismatch
 
 
-def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
-                       max_iter: int = 50000) -> MinimizerReport:
+def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
+                       tol: float = 1e-8) -> MinimizerReport:
     """Minimize J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 by a normalized semi-implicit flow.
 
     Each step solves (I + tau (A0 + I)) v = u + tau kappa_u u^p and renormalizes
     to unit H^{1,a} norm.  tau starts at FLOW_TAU and grows by 1.5 every 20
     accepted steps while below 10.  A step that would raise J by more than a
-    relative 1e-15 is retried with tau halved, but once tau is at or below
-    1e-6 it is accepted: the recorded J sequence is monotone only while tau
-    stays above 1e-6.  The implicit linear part damps the stiff
-    weighted-Laplacian modes unconditionally, and the M-matrix structure of
-    the solve keeps iterates positive.  Stops when the relative J change falls
-    below 1e-12 and the Euler-Lagrange defect below tol (both required).
+    relative 1e-15 is retried with tau halved, so no accepted step does.  The
+    implicit linear part damps the stiff weighted-Laplacian modes
+    unconditionally, and the M-matrix structure of the solve keeps iterates
+    positive.  Stops when the relative J change falls below 1e-12 and the
+    Euler-Lagrange defect below tol, positive and finite (both required).
+    Every STALL_WINDOW iterations, retried steps included, the best defect so
+    far must fall below half its value at the previous check; if not, it has
+    stalled (at the grid's rounding floor, say): NonConvergenceError.
 
     On a radial grid the minimum is over radial functions.  On a `LineGrid`
     it is over all of H^{1,a}(R): the flow starts off centre.  Once a >= 1/2
@@ -94,22 +98,23 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid, tol: fl
     lives on one branch (x > 0 here) and vanishes on the other; the flow then
     runs on that branch only.
     """
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError(f"tol = {tol} must be positive and finite")
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
     op = assemble_operator(grid, params.a, sector=0)
     branches = op.branches()
     if branches is not None:
-        half = _weinstein_flow(params, branches[1], np.exp(-grid.half.nodes ** 2), tol,
-                               max_iter)
+        half = _weinstein_flow(params, branches[1], np.exp(-grid.half.nodes ** 2), tol)
         u = np.zeros(grid.n)
         u[grid.branch(+1)] = half.phi_normalized
         return replace(half, phi_normalized=u, grid=grid)
     centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
-    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol, max_iter)
+    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol)
 
 
-def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray, tol: float,
-                    max_iter: int) -> MinimizerReport:
+def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
+                    tol: float) -> MinimizerReport:
     """The flow of `minimize_weinstein` for the operator op, started from seed."""
     p = params.p
     n = op.grid.n
@@ -130,44 +135,48 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray, t
     u_p = u ** p
     tau = FLOW_TAU
     chol = factorize(tau)
-    tau_min = 1e-6
     accepted = 0
+    best = checked = np.inf                        # best defect so far, and at the last check
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in itertools.count(1):
         kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
         rhs = u + tau * kappa * u_p
         v = cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw
         v /= np.sqrt(functionals.h_norm_sq(op, v))
         j_new, lam_new = functionals.weinstein_of(op, v, p)
-        if j_new > j_curr * (1.0 + 1e-15) and tau > tau_min:
+        if j_new > j_curr * (1.0 + 1e-15):
             tau = 0.5 * tau
             chol = factorize(tau)
-            continue
-        dj = abs(j_curr - j_new)
-        u, j_curr, lam = v, j_new, lam_new
-        u_p = u ** p
-        accepted += 1
-        if accepted % 20 == 0 and tau < 10.0:
-            tau = 1.5 * tau
-            chol = factorize(tau)
-        res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
-        if res < tol and dj <= 1e-12 * abs(j_curr):
-            return MinimizerReport(phi_normalized=u, j_min=j_curr, lam=lam,
-                                   kappa=1.0 / lam, iterations=iteration,
-                                   residual=res, grid=op.grid)
-    raise NonConvergenceError(
-        f"Weinstein flow did not reach tol={tol} in {max_iter} iterations",
-        residual=_defect_norm(op, u, 1.0, (1.0 / lam) * u_p), iterations=max_iter)
+        else:
+            dj = abs(j_curr - j_new)
+            u, j_curr, lam = v, j_new, lam_new
+            u_p = u ** p
+            accepted += 1
+            if accepted % 20 == 0 and tau < 10.0:
+                tau = 1.5 * tau
+                chol = factorize(tau)
+            res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
+            if res < tol and dj <= 1e-12 * abs(j_curr):
+                return MinimizerReport(phi_normalized=u, j_min=j_curr, lam=lam,
+                                       kappa=1.0 / lam, iterations=iteration,
+                                       residual=res, grid=op.grid)
+            best = min(best, res)
+        if iteration % STALL_WINDOW == 0:
+            if not best < 0.5 * checked:
+                raise NonConvergenceError(
+                    f"Weinstein flow stalled at defect {best:.3e} > tol={tol:g} after {iteration}"
+                    " iterations", residual=best, iterations=iteration)
+            checked = best
 
 
-def ground_state(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
-                 max_iter: int = 50000) -> Profile:
+def ground_state(params: ModelParams, grid: RadialGrid | LineGrid,
+                 tol: float = 1e-8) -> Profile:
     """Converged wave at params.omega on the given grid via minimization + rescaling."""
-    return minimize_and_rescale(params, grid, tol, max_iter)[1]
+    return minimize_and_rescale(params, grid, tol)[1]
 
 
-def minimize_and_rescale(params: ModelParams, grid: RadialGrid | LineGrid, tol: float = 1e-8,
-                         max_iter: int = 50000) -> tuple[MinimizerReport, Profile]:
+def minimize_and_rescale(params: ModelParams, grid: RadialGrid | LineGrid,
+                         tol: float = 1e-8) -> tuple[MinimizerReport, Profile]:
     """The minimization behind `ground_state`, and the wave at params.omega it gives on grid.
 
     The minimization runs at the unit-frequency normalization on the grid
@@ -175,11 +184,10 @@ def minimize_and_rescale(params: ModelParams, grid: RadialGrid | LineGrid, tol: 
     back on `grid` without interpolation.
     """
     if params.omega == 1.0:
-        report = minimize_weinstein(params, grid, tol=tol, max_iter=max_iter)
+        report = minimize_weinstein(params, grid, tol=tol)
         return report, report.profile(params)
     stretch = params.omega ** (1.0 / (2.0 * (1.0 - params.a)))
-    report = minimize_weinstein(params, grid.with_r_max(grid.r_max * stretch), tol=tol,
-                                max_iter=max_iter)
+    report = minimize_weinstein(params, grid.with_r_max(grid.r_max * stretch), tol=tol)
     wave = omega_rescale(report.profile(params), params)
     wave.residual = el_residual(params, wave.grid, wave.values)
     return report, wave

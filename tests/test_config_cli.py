@@ -13,7 +13,7 @@ from degenls.exceptions import InvalidParameterError
 
 def test_config_roundtrip_lossless(tmp_path):
     cfg = dl.RunConfig(d=2, a=0.3, p=2.7182818284590451, omega=1.5, n=1024,
-                       r_max=33.25, grid_gamma=1.75, tol=3e-9, max_iter=1234,
+                       r_max=33.25, grid_gamma=1.75, tol=3e-9,
                        t_final=2.5, dt=0.0025, lambda_scale=1.1,
                        sweep_a_values=(0.0, 0.125), sweep_p_values=(2.0, 2.5),
                        shoot=True, eigenfunctions=True)
@@ -23,15 +23,16 @@ def test_config_roundtrip_lossless(tmp_path):
 
 
 def test_config_loads_retired_keys(tmp_path):
-    # [spectral] l_max and [output] seed / dir load and are dropped; save_config
-    # writes none of them
+    # [solver] max_iter, [spectral] l_max and [output] seed / dir load and are
+    # dropped; save_config writes none of them
     path = tmp_path / "old.ini"
-    path.write_text("[model]\nd = 2\n\n[spectral]\nl_max = 5\neigenfunctions = true\n\n"
+    path.write_text("[model]\nd = 2\n\n[solver]\nmax_iter = 3\n\n"
+                    "[spectral]\nl_max = 5\neigenfunctions = true\n\n"
                     "[output]\nseed = 7\ndir = runs/old\n")
     assert dl.load_config(path) == dl.RunConfig(d=2, eigenfunctions=True)
     dl.save_config(dl.RunConfig(), path)
     text = path.read_text()
-    assert "l_max" not in text and "[output]" not in text
+    assert "max_iter" not in text and "l_max" not in text and "[output]" not in text
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -82,6 +83,22 @@ def test_cli_invalid_window_exits_2(tmp_path, capsys, command):
     assert code == 2
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["error"] == "existence-window"
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("evolve", "[dynamics]\ndt = 0.0"),
+    ("evolve", "[dynamics]\ndt = -0.001"),
+    ("evolve", "[dynamics]\nt_final = -1.0"),
+    ("evolve", "[dynamics]\nrecord_every = 0"),
+    ("groundstate", "[solver]\ntol = 0.0"),
+    ("groundstate", "[solver]\ntol = -1e-8"),
+])
+def test_cli_out_of_range_number_exits_2(tmp_path, capsys, command, setting):
+    model_and_grid = ANCHOR.replace("n = 4096", "n = 1024").split("[solver]")[0]
+    cfg = _write(tmp_path, model_and_grid + setting + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid-parameter"
 
 
 def test_cli_groundstate_outputs(tmp_path, capsys):
@@ -247,8 +264,9 @@ def test_cli_sweep_pool_size_and_progress(tmp_path, monkeypatch, caplog):
             == ["sweep point a=0.9 p=5 done", "sweep point a=0.9 p=7 done"]
 
 
-def test_cli_sweep_honours_max_iter(tmp_path):
-    cfg = _write(tmp_path, "[solver]\nmax_iter = 3\n\n"
+def test_cli_sweep_records_stalled_point(tmp_path):
+    # No defect reaches tol = 1e-300: the point's flow stalls and its row says so
+    cfg = _write(tmp_path, "[solver]\ntol = 1e-300\n\n"
                            "[sweep]\nd = 1\na_values = 0.0\np_values = 3.0\nn = 1024\n")
     out = tmp_path / "stalled"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0

@@ -103,3 +103,11 @@ def test_evolve_refuses_a_bare_array(evo_setup):
     params, grid, wave = evo_setup
     with pytest.raises(InvalidParameterError):
         dl.evolve_and_trace(params, wave.values, t_final=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("t_final, dt, record_every",
+                         [(0.01, 0.0, 1), (0.01, -1e-3, 1), (-0.01, 1e-3, 1), (0.01, 1e-3, 0)])
+def test_evolve_refuses_out_of_range_numbers(evo_setup, t_final, dt, record_every):
+    params, _, wave = evo_setup
+    with pytest.raises(InvalidParameterError):
+        dl.evolve_and_trace(params, wave, t_final, dt, record_every=record_every)

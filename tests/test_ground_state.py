@@ -99,9 +99,18 @@ def test_minimizer_rejects_closed_window():
 
 
 def test_minimizer_nonconvergence_carries_residual(anchor_params, anchor_grid):
+    # No defect reaches tol = 1e-300: the flow stops once its defect stalls
     with pytest.raises(NonConvergenceError) as err:
-        dl.minimize_weinstein(anchor_params, anchor_grid, tol=1e-8, max_iter=3)
+        dl.minimize_weinstein(anchor_params, anchor_grid, tol=1e-300)
     assert err.value.residual is not None and err.value.residual > 0
+    assert err.value.iterations <= 2 * gs.STALL_WINDOW
+    assert f"{err.value.residual:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+def test_minimizer_refuses_tol_out_of_range(anchor_params, anchor_grid, tol):
+    with pytest.raises(InvalidParameterError):
+        dl.minimize_weinstein(anchor_params, anchor_grid, tol=tol)
 
 
 def test_shoot_beta_matches_sech(anchor_shot):
