@@ -8,8 +8,8 @@ monitoring.
 from .asymptotics import DecayFit, OriginReport, fit_decay, origin_asymptotics
 from .config import RunConfig, load_config, save_config
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
-                             build_grid, build_line_grid, default_grading, gradient_energy,
-                             sphere_area, weighted_inner, weighted_norm)
+                             build_grid, build_line_grid, gradient_energy, sphere_area,
+                             weighted_inner, weighted_norm)
 from .dynamics import CrankNicolson, VirialTrace, evolve_and_trace
 from .functionals import IdentityReport, evaluate_identities, l2_scale, scaled_energy
 from .ground_state import (MinimizerReport, ReconcileReport, ground_state,
@@ -25,7 +25,7 @@ __all__ = [
     "DecayFit", "OriginReport", "fit_decay", "origin_asymptotics",
     "RunConfig", "load_config", "save_config",
     "LineGrid", "Profile", "RadialGrid", "SectorOperator", "assemble_operator", "build_grid",
-    "build_line_grid", "default_grading", "gradient_energy", "weighted_inner", "weighted_norm",
+    "build_line_grid", "gradient_energy", "weighted_inner", "weighted_norm",
     "CrankNicolson", "VirialTrace", "evolve_and_trace",
     "IdentityReport", "evaluate_identities", "l2_scale", "scaled_energy", "sphere_area",
     "MinimizerReport", "ReconcileReport", "ground_state", "minimize_and_rescale",

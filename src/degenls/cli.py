@@ -21,13 +21,13 @@ import numpy as np
 
 from . import functionals, spectral
 from .config import RunConfig, load_config
-from .discretization import LineGrid, RadialGrid, build_grid, build_line_grid, default_grading
+from .discretization import LineGrid
 from .dynamics import evolve_and_trace
 from .exceptions import (DegenlsError, InvalidParameterError, InvalidWindowError,
                          NonConvergenceError)
 from .ground_state import ground_state, minimize_and_rescale, reconcile, shoot_profile
 from .model import ModelParams, classify_by_threshold, exists_window
-from .presets import default_r_max, line_grading, needs_line, sweep_grid
+from .presets import point_grid, sweep_grid
 
 log = logging.getLogger("degenls")
 
@@ -61,20 +61,9 @@ def _emit_error(code: str, message: str) -> None:
     print(json.dumps({"error": code, "message": message}))
 
 
-def _resolve_grid(cfg: RunConfig, params: ModelParams,
-                  line: bool = False) -> RadialGrid | LineGrid:
-    """The configured grid: radial, or the full line with n cells on each side."""
-    r_max = cfg.r_max if cfg.r_max > 0 else default_r_max(params)
-    if line:
-        gamma = cfg.grid_gamma if cfg.grid_gamma > 0 else line_grading(params.a, cfg.n)
-        return build_line_grid(r_max, cfg.n, gamma)
-    gamma = cfg.grid_gamma if cfg.grid_gamma > 0 else default_grading(params.a)
-    return build_grid(params.d, r_max, cfg.n, gamma)
-
-
 def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    grid = _resolve_grid(cfg, params)
+    grid = point_grid(params, cfg.n, cfg.r_max, cfg.grid_gamma, minimizer=False)
     log.info("minimizing at d=%d a=%g p=%g on N=%d r_max=%g",
              params.d, params.a, params.p, cfg.n, grid.r_max)
     report, wave = minimize_and_rescale(params, grid, tol=cfg.tol)
@@ -104,7 +93,7 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
 def cmd_spectrum(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
     # Classify the same wave as `sweep`: the full-line minimizer at d = 1, a > 0.
-    grid = _resolve_grid(cfg, params, line=needs_line(params))
+    grid = point_grid(params, cfg.n, cfg.r_max, cfg.grid_gamma, minimizer=True)
     wave = ground_state(params, grid, tol=cfg.tol)
     report = spectral.slope_and_classify(params, wave)
     _write_json(os.path.join(out, "spectral_report.json"), asdict(report))
@@ -124,7 +113,7 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
 
 def cmd_evolve(cfg: RunConfig, out: str) -> int:
     params = cfg.params()
-    grid = _resolve_grid(cfg, params)
+    grid = point_grid(params, cfg.n, cfg.r_max, cfg.grid_gamma, minimizer=False)
     wave = ground_state(params, grid, tol=cfg.tol)
     if cfg.lambda_scale != 1.0:
         u0 = functionals.l2_scale(wave, cfg.lambda_scale, grid=grid)
@@ -156,7 +145,7 @@ SWEEP_HEADER = ["a", "p", "p_c", "slope", "n_plus", "gap_minus",
 
 def _sweep_point(args) -> dict[str, str]:
     """The sweep.csv columns one point fills, by SWEEP_HEADER name."""
-    d, a, p, n, tail_decades, tol = args
+    d, a, p, n, tol = args
     row = {"a": _fmt(a), "p": _fmt(p)}
     try:
         params = ModelParams(d, a, p, 1.0)
@@ -165,7 +154,7 @@ def _sweep_point(args) -> dict[str, str]:
     if not exists_window(params):
         return {**row, "error": "existence-window"}
     try:
-        grid = sweep_grid(params, n=n, tail_decades=tail_decades)
+        grid = sweep_grid(params, n=n)
         wave = ground_state(params, grid, tol=tol)
         identities = functionals.evaluate_identities(params, wave)
         report = spectral.slope_and_classify(params, wave)
@@ -180,7 +169,7 @@ def _sweep_point(args) -> dict[str, str]:
 
 
 def cmd_sweep(cfg: RunConfig, out: str, threads: int) -> int:
-    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.sweep_tail_decades, cfg.tol)
+    points = [(cfg.sweep_d, a, p, cfg.sweep_n, cfg.tol)
               for a in cfg.sweep_a_values for p in cfg.sweep_p_values]
     # A process pool forks all its workers at the first submit: never more than points.
     workers = min(threads, len(points))
@@ -249,10 +238,6 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     try:
-        params = None if args.command == "sweep" else cfg.params()
-        if params is not None and not exists_window(params):
-            _emit_error("existence-window", f"parameters {params} violate the existence window")
-            return EXIT_PARAMS
         if args.command == "groundstate":
             return cmd_groundstate(cfg, args.out)
         if args.command == "spectrum":

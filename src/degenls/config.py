@@ -6,9 +6,10 @@ Grammar (configparser dialect):
   - one `key = value` per line; `#` or `;` start comments; keys are
     lower_snake_case; floats use '.' decimals; lists are comma-separated;
   - retired keys, `[solver] max_iter` (the flow stops when its defect
-    stalls), `[spectral] l_max` (the sectors end where the spectrum says) and
-    `[output] seed` / `dir`, load and are dropped, so that older configs
-    still load; `save_config` does not write them.
+    stalls), `[spectral] l_max` (the sectors end where the spectrum says),
+    `[sweep] tail_decades` (every sweep grid ends 7 decades down its
+    predicted tail) and `[output] seed` / `dir`, load and are dropped, so
+    that older configs still load; `save_config` does not write them.
 
 Every field has a default except the model parameters (d, a, p), which any
 single-point subcommand requires; `sweep` reads its own section instead.
@@ -31,7 +32,7 @@ class RunConfig:
     a: float = 0.0
     p: float = 3.0
     omega: float = 1.0
-    # grid (r_max / gamma fall back to the tail-based policy when non-positive)
+    # grid (r_max / gamma not positive: presets.point_grid's rule fills them in)
     n: int = 16384
     r_max: float = 0.0
     grid_gamma: float = 0.0
@@ -51,7 +52,6 @@ class RunConfig:
     sweep_a_values: tuple[float, ...] = (0.0, 0.25, 0.5)
     sweep_p_values: tuple[float, ...] = (2.0, 3.0, 5.0, 7.0)
     sweep_n: int = 65536
-    sweep_tail_decades: float = 7.0
 
     def params(self) -> ModelParams:
         return ModelParams(self.d, self.a, self.p, self.omega)
@@ -69,7 +69,7 @@ _LAYOUT = {
                  "record_every": "record_every"},
     "spectral": {"l_max": None, "eigenfunctions": "eigenfunctions"},
     "sweep": {"d": "sweep_d", "a_values": "sweep_a_values", "p_values": "sweep_p_values",
-              "n": "sweep_n", "tail_decades": "sweep_tail_decades"},
+              "n": "sweep_n", "tail_decades": None},
     "output": {"seed": None, "dir": None},
 }
 

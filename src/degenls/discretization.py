@@ -21,6 +21,8 @@ from scipy.linalg import solve_banded
 
 from .exceptions import InvalidParameterError
 
+MIN_CELLS = 16      # fewest cells a grid (or each side of a line) may have
+
 
 def sphere_area(d: int) -> float:
     """|S^{d-1}| = 2 pi^{d/2} / Gamma(d/2); equals 2 for d = 1."""
@@ -132,8 +134,8 @@ def build_grid(d: int, r_max: float, n: int, gamma: float = 1.0) -> RadialGrid:
         raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
     if not (r_max > 0.0):
         raise InvalidParameterError(f"r_max must be positive, got {r_max}")
-    if n < 16:
-        raise InvalidParameterError(f"need at least 16 cells, got {n}")
+    if n < MIN_CELLS:
+        raise InvalidParameterError(f"need at least {MIN_CELLS} cells, got {n}")
     if not (gamma >= 1.0):
         raise InvalidParameterError(f"grading exponent must be >= 1, got {gamma}")
     edges = (np.arange(n + 1, dtype=float) / n) ** gamma * r_max
@@ -148,11 +150,6 @@ def build_grid(d: int, r_max: float, n: int, gamma: float = 1.0) -> RadialGrid:
 def build_line_grid(r_max: float, n: int, gamma: float = 1.0) -> LineGrid:
     """Full-line grid on (-r_max, r_max) from n graded cells on each side."""
     return LineGrid.mirror(build_grid(1, r_max, n, gamma))
-
-
-def default_grading(a: float) -> float:
-    """Grading default: gamma = 2 resolves the rho^{1-2a} layer once phi' blows up at 0."""
-    return 2.0 if a > 0.5 else 1.0
 
 
 def _radial_flux(grid: RadialGrid, a: float, sector: int) -> np.ndarray:

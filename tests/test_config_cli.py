@@ -23,16 +23,18 @@ def test_config_roundtrip_lossless(tmp_path):
 
 
 def test_config_loads_retired_keys(tmp_path):
-    # [solver] max_iter, [spectral] l_max and [output] seed / dir load and are
-    # dropped; save_config writes none of them
+    # [solver] max_iter, [spectral] l_max, [sweep] tail_decades and [output]
+    # seed / dir load and are dropped; save_config writes none of them
     path = tmp_path / "old.ini"
     path.write_text("[model]\nd = 2\n\n[solver]\nmax_iter = 3\n\n"
                     "[spectral]\nl_max = 5\neigenfunctions = true\n\n"
+                    "[sweep]\ntail_decades = 5.0\n\n"
                     "[output]\nseed = 7\ndir = runs/old\n")
     assert dl.load_config(path) == dl.RunConfig(d=2, eigenfunctions=True)
     dl.save_config(dl.RunConfig(), path)
     text = path.read_text()
     assert "max_iter" not in text and "l_max" not in text and "[output]" not in text
+    assert "tail_decades" not in text
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -112,6 +114,30 @@ def test_cli_groundstate_outputs(tmp_path, capsys):
     assert minimizer["kappa"] == pytest.approx(16.0 / 3.0, rel=1e-3)
     identities = json.loads((out / "identity_report.json").read_text())
     assert identities["mass"] == pytest.approx(4.0, rel=1e-4)
+
+
+def test_cli_groundstate_default_grid(tmp_path, capsys):
+    # [grid] gives n only: presets.point_grid sizes the domain and grading
+    cfg = _write(tmp_path, "[model]\nd = 2\na = 0.0\np = 2.5\nomega = 1.5\n\n"
+                           "[grid]\nn = 16384\n\n[solver]\nshoot = true\n")
+    out = tmp_path / "gs"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["identity_report.json", "minimizer_report.json",
+                                       "profile.csv", "reconcile_report.json",
+                                       "shooting_profile.csv"]
+    identities = json.loads((out / "identity_report.json").read_text())
+    assert max(identities["pohozaev_1"], identities["pohozaev_2"]) < 1e-6
+
+
+@pytest.mark.parametrize("command", ["groundstate", "spectrum", "evolve"])
+@pytest.mark.parametrize("n", [0, 1, 15])
+def test_cli_too_few_cells_exits_2(tmp_path, capsys, command, n):
+    # d = 1, a > 0: spectrum lays out the line, whose grading takes log2(n)
+    cfg = _write(tmp_path, f"[model]\nd = 1\na = 0.25\np = 3.0\n\n[grid]\nn = {n}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "invalid-parameter",
+                       "message": f"need at least 16 cells, got {n}"}
 
 
 def test_cli_groundstate_minimizes_once_at_shifted_omega(tmp_path, monkeypatch):
@@ -224,6 +250,16 @@ def test_cli_sweep_invalid_point_recorded_in_row(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].endswith("existence-window")
+
+
+@pytest.mark.parametrize("n", [0, 1, 15])
+def test_cli_sweep_too_few_cells_recorded_in_row(tmp_path, n):
+    cfg = _write(tmp_path, f"[sweep]\nd = 1\na_values = 0.0, 0.25\np_values = 3.0\nn = {n}\n")
+    out = tmp_path / "few"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    assert [row["error"] for row in rows] \
+        == [f"InvalidParameterError: need at least 16 cells, got {n}"] * 2
 
 
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
