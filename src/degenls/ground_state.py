@@ -7,14 +7,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from . import functionals
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
-                             weighted_norm)
+                             build_grid, build_line_grid, weighted_norm)
 from .exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
                          NonConvergenceError, StiffnessFailureError)
 from .model import ModelParams, exists_window, omega_rescale
+from .spectral import morse_index
 
 
 @dataclass
@@ -25,15 +26,17 @@ class MinimizerReport:
     j_min: float
     lam: float                   # integral of phi_normalized^{p+1}
     kappa: float                 # Lagrange multiplier, 1/lam at unit norm
-    iterations: int
-    residual: float              # Euler-Lagrange defect of phi_normalized, weighted norm
+    iterations: int              # all the work: flow iterations plus Newton steps
+    residual: float              # the Euler-Lagrange defect of phi over |phi|_{H^{1,a}}
     grid: RadialGrid | LineGrid
+    newton_steps: int            # tridiagonal solves of the Newton polish
+    fallback: bool               # the polish failed or its guard did; the flow ran on grid
 
     def profile(self, params: ModelParams) -> Profile:
-        """Unit-frequency wave phi = kappa^{1/(p-1)} * minimizer."""
-        scale = self.kappa ** (1.0 / (params.p - 1.0))
-        return Profile(grid=self.grid, values=scale * self.phi_normalized,
-                       omega=1.0, residual=scale * self.residual)
+        """Unit-frequency wave phi = kappa^{1/(p-1)} * minimizer, with its own defect."""
+        values = self.kappa ** (1.0 / (params.p - 1.0)) * self.phi_normalized
+        return Profile(grid=self.grid, values=values, omega=1.0,
+                       residual=el_residual(params, self.grid, values))
 
 
 def el_residual(params: ModelParams, grid: RadialGrid | LineGrid, values: np.ndarray) -> float:
@@ -72,12 +75,112 @@ def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
 LINE_SEED_SHIFT = 0.5
 FLOW_TAU = 0.1              # the flow's first step; it is halved and grown as the flow goes
 STALL_WINDOW = 200          # iterations in which the flow's best defect must halve
+COARSEN = 16                # the coarse stage has 1/COARSEN of the target's cells (a side)
+COARSE_MIN_CELLS = 1024     # fewer coarse cells than this: the coarse stage is the target grid
+COARSE_TOL = 1e-6           # the defect at which the flow hands its wave to Newton
+NEWTON_MIN_STEP = 0.125     # the shortest damped Newton step tried
+# Backward error below which a stalled polish has met the rounding floor: measured
+# floors are 1e-20 to 2e-17, polishes that failed to converge stop at 1e-7 and above.
+FLOOR_BACKWARD_ERROR = 64.0 * np.finfo(float).eps
 RECONCILE_REL_TOL = 1e-3    # relative disagreement at which `reconcile` reports a mismatch
 
 
 def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
                        tol: float = 1e-8) -> MinimizerReport:
-    """Minimize J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 by a normalized semi-implicit flow.
+    """Minimize J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 by nested iteration: a flow, then Newton.
+
+    1. The normalized flow (`_weinstein_flow`) runs to the defect COARSE_TOL
+       on grid's layout (r_max, gamma) with 1/COARSEN of its cells, or on grid
+       itself where that leaves fewer than COARSE_MIN_CELLS.
+    2. Its wave is interpolated onto grid's nodes.
+    3. Damped Newton on F(phi) = A0 phi + phi - |phi|^{p-1} phi polishes it,
+       one tridiagonal solve with A0 + 1 - p |phi|^{p-1} a step, until the
+       residual stops halving (`_newton`).
+    4. A guard (`_is_minimizer`) checks that the polished wave is the
+       minimizer, not another critical point: positive, and exactly one
+       eigenvalue of L+ = A0 + 1 - p phi^{p-1} at or below 0.
+
+    `residual` is the polished wave's defect over its H^{1,a} norm.  At or
+    below tol the wave is returned.  Above it, the polish has either met the
+    rounding floor, where its normwise backward error |F| / (|A| |phi| +
+    |phi^p|) is of the order of eps (below FLOOR_BACKWARD_ERROR), and then
+    tol is out of reach on this grid: NonConvergenceError, with that floor in
+    its message; or it failed to converge, from a coarse wave that did not
+    resolve the fine one.  That, or a failed guard, runs the flow on grid
+    from the interpolant (`fallback`).  `iterations` counts the flow's
+    iterations and the Newton steps; j_min, lam and kappa are those of
+    phi_normalized.
+
+    On a radial grid the minimum is over radial functions.  On a `LineGrid`
+    it is over all of H^{1,a}(R): the flow starts off centre.  Once a >= 1/2
+    the two branches decouple, and a function spread over both has a larger
+    quotient than the better of its two branches alone, so the minimizer
+    lives on one branch (x > 0 here) and vanishes on the other; both stages
+    then run on that branch only.
+    """
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameterError(f"tol = {tol} must be positive and finite")
+    if not exists_window(params):
+        raise InvalidWindowError(f"no solitary waves exist at {params}")
+    full, op, seed = _flow_problem(grid, params.a)
+    cells = (grid.half if isinstance(grid, LineGrid) else grid).n // COARSEN
+    if cells < COARSE_MIN_CELLS:
+        start, flow_iterations = _weinstein_flow(params, op, seed, COARSE_TOL)
+    else:
+        _, coarse, coarse_seed = _flow_problem(_coarse(grid, cells), params.a)
+        wave, flow_iterations = _weinstein_flow(params, coarse, coarse_seed, COARSE_TOL)
+        start = np.interp(op.grid.nodes, coarse.grid.nodes, wave)
+    phi, defect, steps = _newton(params, op, start)
+    report = _report(params, full, phi, flow_iterations + steps, steps, fallback=False)
+    floor = _backward_error(params, op, phi, defect)
+    polished = report.residual <= tol or floor <= FLOOR_BACKWARD_ERROR
+    if not (polished and _is_minimizer(params, op, phi)):
+        phi, more = _weinstein_flow(params, op, start, tol)
+        return _report(params, full, phi, report.iterations + more, steps, fallback=True)
+    if report.residual > tol:
+        raise NonConvergenceError(
+            f"Newton polish stopped at defect {report.residual:.3e} > tol={tol:g} after"
+            f" {report.iterations} iterations ({flow_iterations} flow, {steps} Newton): the"
+            f" rounding floor, normwise backward error {floor:.1e}",
+            residual=report.residual, iterations=report.iterations)
+    return report
+
+
+def _flow_problem(grid: RadialGrid | LineGrid,
+                  a: float) -> tuple[SectorOperator, SectorOperator, np.ndarray]:
+    """grid's sector-0 operator, the operator the minimizer runs on, and the flow's seed there.
+
+    The latter is the x > 0 branch once a line decouples, else the whole
+    grid, whose seed is off centre on a line.
+    """
+    full = assemble_operator(grid, a, sector=0)
+    branches = full.branches()
+    if branches is not None:
+        return full, branches[1], np.exp(-grid.half.nodes ** 2)
+    centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
+    return full, full, np.exp(-(grid.nodes - centre) ** 2)
+
+
+def _coarse(grid: RadialGrid | LineGrid, cells: int) -> RadialGrid | LineGrid:
+    """grid's layout (r_max, gamma) with `cells` cells (a side, on a line)."""
+    if isinstance(grid, LineGrid):
+        return build_line_grid(grid.r_max, cells, grid.gamma)
+    return build_grid(grid.d, grid.r_max, cells, grid.gamma)
+
+
+def _unit(op: SectorOperator, v: np.ndarray, p: float) -> tuple[np.ndarray, float, float]:
+    """v at unit H^{1,a} norm, its quotient J and lam = integral |v|^{p+1}.
+
+    J is scale-invariant, so at unit norm it is lam^{-2/(p+1)}; the norm is taken once.
+    """
+    v = v / np.sqrt(functionals.h_norm_sq(op, v))
+    lam = op.measure * float(np.sum(op.grid.volumes * np.abs(v) ** (p + 1.0)))
+    return v, lam ** (-2.0 / (p + 1.0)), lam
+
+
+def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, int]:
+    """The normalized flow for the operator op from seed: its unit-frequency wave and iterations.
 
     Each step solves (I + tau (A0 + I)) v = u + tau kappa_u u^p and renormalizes
     to unit H^{1,a} norm.  tau starts at FLOW_TAU and grows by 1.5 every 20
@@ -90,32 +193,7 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
     Every STALL_WINDOW iterations, retried steps included, the best defect so
     far must fall below half its value at the previous check; if not, it has
     stalled (at the grid's rounding floor, say): NonConvergenceError.
-
-    On a radial grid the minimum is over radial functions.  On a `LineGrid`
-    it is over all of H^{1,a}(R): the flow starts off centre.  Once a >= 1/2
-    the two branches decouple, and a function spread over both has a larger
-    quotient than the better of its two branches alone, so the minimizer
-    lives on one branch (x > 0 here) and vanishes on the other; the flow then
-    runs on that branch only.
     """
-    if not 0.0 < tol < np.inf:
-        raise InvalidParameterError(f"tol = {tol} must be positive and finite")
-    if not exists_window(params):
-        raise InvalidWindowError(f"no solitary waves exist at {params}")
-    op = assemble_operator(grid, params.a, sector=0)
-    branches = op.branches()
-    if branches is not None:
-        half = _weinstein_flow(params, branches[1], np.exp(-grid.half.nodes ** 2), tol)
-        u = np.zeros(grid.n)
-        u[grid.branch(+1)] = half.phi_normalized
-        return replace(half, phi_normalized=u, grid=grid)
-    centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
-    return _weinstein_flow(params, op, np.exp(-(grid.nodes - centre) ** 2), tol)
-
-
-def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
-                    tol: float) -> MinimizerReport:
-    """The flow of `minimize_weinstein` for the operator op, started from seed."""
     p = params.p
     n = op.grid.n
     sqw = np.sqrt(op.grid.volumes)
@@ -130,8 +208,7 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
 
     # lam and u_p = u^p belong to the current iterate u; each is computed once
     # per accepted step and reused by the next one.
-    u = seed / np.sqrt(functionals.h_norm_sq(op, seed))
-    j_curr, lam = functionals.weinstein_of(op, u, p)
+    u, j_curr, lam = _unit(op, seed, p)
     u_p = u ** p
     tau = FLOW_TAU
     chol = factorize(tau)
@@ -141,9 +218,8 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
     for iteration in itertools.count(1):
         kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
         rhs = u + tau * kappa * u_p
-        v = cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw
-        v /= np.sqrt(functionals.h_norm_sq(op, v))
-        j_new, lam_new = functionals.weinstein_of(op, v, p)
+        v, j_new, lam_new = _unit(
+            op, cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw, p)
         if j_new > j_curr * (1.0 + 1e-15):
             tau = 0.5 * tau
             chol = factorize(tau)
@@ -157,9 +233,7 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
                 chol = factorize(tau)
             res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
             if res < tol and dj <= 1e-12 * abs(j_curr):
-                return MinimizerReport(phi_normalized=u, j_min=j_curr, lam=lam,
-                                       kappa=1.0 / lam, iterations=iteration,
-                                       residual=res, grid=op.grid)
+                return (1.0 / lam) ** (1.0 / (p - 1.0)) * u, iteration
             best = min(best, res)
         if iteration % STALL_WINDOW == 0:
             if not best < 0.5 * checked:
@@ -167,6 +241,83 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
                     f"Weinstein flow stalled at defect {best:.3e} > tol={tol:g} after {iteration}"
                     " iterations", residual=best, iterations=iteration)
             checked = best
+
+
+def _newton(params: ModelParams, op: SectorOperator,
+            phi: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Damped Newton on F(phi) = A0 phi + phi - |phi|^{p-1} phi from phi, until |F| stalls.
+
+    Each step solves J delta = F once, J = A0 + 1 - p |phi|^{p-1}, and takes
+    the longest of phi - delta, phi - delta/2, ... (down to NEWTON_MIN_STEP)
+    that multiplies |F|_w by less than 1 - step/2: a full step must halve it.
+    Stops when none does, so the last iterate is the best.  Returns it, its
+    |F|_w and the number of solves; the Jacobian is freed on return.
+    """
+    p = params.p
+    jac = op.banded(shift=1.0)
+    diag = jac[1].copy()
+    f = _defect(op, phi, 1.0, np.abs(phi) ** (p - 1.0) * phi)
+    res, solves = weighted_norm(op.grid, f), 0
+    while True:
+        jac[1] = diag - p * np.abs(phi) ** (p - 1.0)
+        delta = solve_banded((1, 1), jac, f, check_finite=False)
+        solves += 1
+        step = 1.0
+        while True:
+            trial = phi - step * delta
+            f_trial = _defect(op, trial, 1.0, np.abs(trial) ** (p - 1.0) * trial)
+            res_trial = weighted_norm(op.grid, f_trial)
+            if res_trial < (1.0 - 0.5 * step) * res:
+                break
+            step *= 0.5
+            if step < NEWTON_MIN_STEP:
+                return phi, res, solves
+        phi, f, res = trial, f_trial, res_trial
+
+
+def _backward_error(params: ModelParams, op: SectorOperator, phi: np.ndarray,
+                    defect: float) -> float:
+    """|F| / (|A| |phi| + |phi^p|), the normwise backward error of phi's defect |F|_w.
+
+    |A| is 2 max diag(A0) + 1, Gershgorin's bound on A0 + 1.
+    """
+    norm_a = 2.0 * float(np.max(op.diag)) + 1.0
+    return defect / (norm_a * weighted_norm(op.grid, phi)
+                     + weighted_norm(op.grid, np.abs(phi) ** params.p))
+
+
+def _is_minimizer(params: ModelParams, op: SectorOperator, phi: np.ndarray) -> bool:
+    """Whether phi passes for the minimizer, not another critical point of the quotient.
+
+    The minimizer is positive, and its L+ = A0 + 1 - p phi^{p-1} has exactly
+    one eigenvalue at or below 0 (a Sturm count); the even saddle on the line,
+    say, has two.
+    """
+    if not np.all(phi > 0.0):
+        return False
+    potential = 1.0 - params.p * phi ** (params.p - 1.0)
+    return morse_index(replace(op, diag=op.diag + potential, potential=potential), 0.0) == 1
+
+
+def _report(params: ModelParams, full: SectorOperator, phi: np.ndarray, iterations: int,
+            newton_steps: int, fallback: bool) -> MinimizerReport:
+    """The report of the wave phi, given on full's grid or, decoupled, on its x > 0 branch.
+
+    j_min, lam and kappa are `functionals.weinstein_of` of phi_normalized, so
+    `weinstein_quotient` returns j_min exactly; the residual is phi's defect
+    over its H^{1,a} norm.
+    """
+    grid = full.grid
+    if phi.size != grid.n:
+        phi, branch = np.zeros(grid.n), phi
+        phi[grid.branch(+1)] = branch
+    norm = np.sqrt(functionals.h_norm_sq(full, phi))
+    u = phi / norm
+    j_min, lam = functionals.weinstein_of(full, u, params.p)
+    residual = _defect_norm(full, phi, 1.0, np.abs(phi) ** (params.p - 1.0) * phi) / norm
+    return MinimizerReport(phi_normalized=u, j_min=j_min, lam=lam, kappa=1.0 / lam,
+                           iterations=iterations, residual=residual, grid=grid,
+                           newton_steps=newton_steps, fallback=fallback)
 
 
 def ground_state(params: ModelParams, grid: RadialGrid | LineGrid,

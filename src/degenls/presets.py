@@ -21,12 +21,13 @@ lattice points (radial grids, omega = 1), these pass the 1e-6 Pohozaev gate:
     n        single-point rule   sweep rule
     16384            9               25
     65536           21               32
-    131072          24                9
+    131072          24               28
 
-At n = 131072 the sweep rule's flow stalls at all 24 points with a < 1/2:
-its finer cells lift the rounding floor eps max|diag| of the Euler-Lagrange
-defect above the absolute tol = 1e-8.  A stop that knows that floor would
-let one rule serve every n.
+At n = 131072 the sweep rule misses only the five d = 1, a = 1/4 points:
+its finer cells lift the rounding floor of the minimizer's Euler-Lagrange
+defect just above the absolute tol = 1e-8, and the minimization says so
+(NonConvergenceError, with the floor).  So the sweep rule passes at least as
+many points as the single-point rule at every n.
 """
 
 from __future__ import annotations

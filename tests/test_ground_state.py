@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -314,3 +315,77 @@ def test_radial_solvers_refuse_line_grids():
     grid = sweep_grid(params, n=1024)
     with pytest.raises(InvalidParameterError):
         dl.shoot_profile(params, grid)
+
+
+def test_report_counts_flow_iterations_and_newton_steps(anchor_report):
+    # `iterations` is all the work: the flow's iterations plus the Newton steps
+    assert anchor_report.newton_steps >= 1 and not anchor_report.fallback
+    assert anchor_report.iterations > anchor_report.newton_steps
+
+
+def test_ground_state_returns_where_the_flow_stalled():
+    # (2, .25, 3) at n = 131072: the flow alone stalls above tol = 1e-8 at its
+    # rounding floor; the Newton polish gets under tol and the wave passes the gate
+    params = dl.ModelParams(2, 0.25, 3.0, 1.0)
+    wave = dl.ground_state(params, sweep_grid(params, n=131072))
+    ids = dl.evaluate_identities(params, wave)
+    assert max(ids.pohozaev_1, ids.pohozaev_2) < 1e-6
+
+
+def test_polish_stall_names_the_floor(anchor_params, anchor_grid):
+    # tol = 1e-300 is below any floor: the polish stops there and says so
+    with pytest.raises(NonConvergenceError) as err:
+        dl.minimize_weinstein(anchor_params, anchor_grid, tol=1e-300)
+    floor = re.search(r"normwise backward error (\S+)$", str(err.value))
+    assert floor is not None and 0.0 < float(floor.group(1)) < gs.FLOOR_BACKWARD_ERROR
+    assert err.value.residual > 0 and err.value.iterations > 0
+
+
+@pytest.mark.parametrize("a, p", [(0.0, 3.0), (0.25, 3.0), (0.75, 2.0)])
+def test_polished_wave_matches_the_flow_on_the_target_grid(monkeypatch, anchor_grid, a, p):
+    # the sech anchor (its coarse stage on 256 cells), the coupled line and the
+    # decoupled line, whose wave lives on its x > 0 branch
+    params = dl.ModelParams(1, a, p, 1.0)
+    if a == 0.0:
+        monkeypatch.setattr(gs, "COARSE_MIN_CELLS", anchor_grid.n // gs.COARSEN)
+        grid = anchor_grid
+    else:
+        grid = sweep_grid(params, n=gs.COARSEN * gs.COARSE_MIN_CELLS)
+    rep = dl.minimize_weinstein(params, grid)
+    assert not rep.fallback
+    _, op, seed = gs._flow_problem(grid, a)
+    flow, _ = gs._weinstein_flow(params, op, seed, 1e-8)
+    values = rep.profile(params).values
+    polished = values[grid.branch(+1)] if a >= 0.5 else values
+    assert np.max(np.abs(polished - flow)) <= 1e-7 * np.max(flow)
+
+
+def test_guard_rejects_the_even_saddle_on_the_line():
+    # the radial (even) wave mirrored onto the line is a saddle of the quotient
+    # there, with a second negative L+ direction: the odd one that breaks symmetry
+    params = dl.ModelParams(1, 0.25, 3.0, 1.0)
+    line = sweep_grid(params, n=4096)
+    even = dl.minimize_weinstein(params, line.half).profile(params).values
+    mirrored = np.concatenate((even[::-1], even))
+    plus = dl.assemble_linearized(params, dl.Profile(line, mirrored, 1.0), 0, +1)
+    assert dl.morse_index(plus, 0.0) == 2
+    _, op, _ = gs._flow_problem(line, params.a)
+    assert not gs._is_minimizer(params, op, mirrored)
+    assert gs._is_minimizer(params, op, dl.ground_state(params, line).values)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_forced_fallback_returns_the_minimizer(monkeypatch, anchor_grid, a):
+    # a guard that refuses every polish: the flow runs on the target grid from the
+    # interpolant of a coarse stage on 256 cells (a side) and returns the
+    # minimizer the flow alone finds
+    params = dl.ModelParams(1, a, 3.0, 1.0)
+    grid = anchor_grid if a == 0.0 else sweep_grid(params, n=anchor_grid.n)
+    _, op, seed = gs._flow_problem(grid, a)
+    flow, _ = gs._weinstein_flow(params, op, seed, 1e-8)
+    monkeypatch.setattr(gs, "COARSE_MIN_CELLS", anchor_grid.n // gs.COARSEN)
+    monkeypatch.setattr(gs, "_is_minimizer", lambda *args: False)
+    rep = dl.minimize_weinstein(params, grid)
+    assert rep.fallback
+    j_flow = dl.functionals.weinstein_quotient(params, grid, flow)
+    assert rep.j_min == pytest.approx(j_flow, rel=1e-10)
