@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from . import functionals
-from .discretization import Profile, RadialGrid, assemble_operator, weighted_norm
+from .discretization import LineGrid, Profile, RadialGrid, assemble_operator, weighted_norm
 from .exceptions import FixedPointDivergenceError, InvalidParameterError
 from .model import ModelParams
 
@@ -28,9 +28,9 @@ REFLECTION_GUARD = 1e-8      # relative mass beyond 0.9 r_max that halts a run
 
 
 class CrankNicolson:
-    """One-step integrator for i u_t = A0 u - |u|^{p-1} u on the radial grid."""
+    """One-step integrator for i u_t = A0 u - |u|^{p-1} u on a radial grid or the line."""
 
-    def __init__(self, params: ModelParams, grid: RadialGrid, dt: float):
+    def __init__(self, params: ModelParams, grid: RadialGrid | LineGrid, dt: float):
         self.params = params
         self.grid = grid
         self.dt = dt

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,6 +18,8 @@ from .exceptions import (BracketInvalidError, InvalidParameterError, InvalidWind
                          NonConvergenceError, StiffnessFailureError)
 from .model import ModelParams, exists_window, omega_rescale
 from .spectral import morse_index
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -357,14 +361,104 @@ def _series_start(params: ModelParams, beta: float, rho: float) -> tuple[float, 
 
 
 def _shot_rhs(params: ModelParams):
-    """Right-hand side of the flux system for (phi, F = rho^{d-1+2a} phi')."""
-    d, a, p, omega = params.d, params.a, params.p, params.omega
+    """Right-hand side of the flux system for (phi, F = rho^{d-1+2a} phi'), on floats."""
+    d, a, p, omega = params.d, float(params.a), float(params.p), float(params.omega)
     m = d - 1 + 2.0 * a
 
     def rhs(rho, y):
         phi, flux = y
-        return [flux / rho ** m, -rho ** (d - 1) * (np.abs(phi) ** (p - 1.0) * phi - omega * phi)]
+        return flux / rho ** m, -rho ** (d - 1) * (abs(phi) ** (p - 1.0) * phi - omega * phi)
     return rhs
+
+
+class _ShotRK45(RK45):
+    """scipy's RK45 for the two-component shot system, its step taken on Python floats.
+
+    `_step_impl` is RK45's: the Dormand-Prince stages of the class's own A,
+    B, C and E, the RMS error norm, and the step control with safety 0.9,
+    factor bounds 0.2 and 10, error_exponent and a minimum step of 10 ulp
+    of t.  Only the arithmetic differs: on two components, scipy's
+    per-stage array work costs more than the sums it does.  The step stores
+    K, y, y_old, f and h_abs as RK45 does, so RK45's dense output and
+    `solve_ivp`'s events work unchanged.  The right-hand side is called
+    unwrapped with a tuple (phi, F) and must return two floats.
+    """
+
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+    def __init__(self, fun, *args, **kwargs):
+        super().__init__(fun, *args, **kwargs)
+        self._rhs = fun
+        # (c, row) of each right-hand side call after f: A's stages, then B's
+        # combination at t + h, which is the step's end point and its new f
+        rows = self.A.tolist()
+        self._stages = [(c, rows[s][:s]) for s, c in enumerate(self.C.tolist()) if s]
+        self._stages.append((1.0, self.B.tolist()))
+        self._e = self.E.tolist()
+        atol = np.broadcast_to(self.atol, 2).tolist()
+        self._tolerances = float(self.rtol), atol[0], atol[1]
+        self._direction = float(self.direction)
+
+    def _step_impl(self):
+        rhs, stages, e = self._rhs, self._stages, self._e
+        rtol, atol0, atol1 = self._tolerances
+        direction, t, t_bound = self._direction, self.t, self.t_bound
+        y0, y1 = self.y.tolist()
+        f0, f1 = self.f.tolist()
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = float(self.h_abs)
+        if h_abs > self.max_step:
+            h_abs = self.max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            # k0, k1: the stages' two components; s0, s1: a stage sum; n0, n1: a
+            # stage's point, after the last stage the step's end
+            k0, k1 = [f0], [f1]
+            for c, row in stages:
+                s0 = s1 = 0.0
+                for g0, g1, coeff in zip(k0, k1, row):
+                    s0 += g0 * coeff
+                    s1 += g1 * coeff
+                n0, n1 = y0 + s0 * h, y1 + s1 * h
+                g0, g1 = rhs(t + c * h, (n0, n1))
+                k0.append(g0)
+                k1.append(g1)
+            self.nfev += len(stages)
+            s0 = s1 = 0.0
+            for g0, g1, coeff in zip(k0, k1, e):
+                s0 += g0 * coeff
+                s1 += g1 * coeff
+            x0 = s0 * h / (atol0 + max(abs(y0), abs(n0)) * rtol)
+            x1 = s1 * h / (atol1 + max(abs(y1), abs(n1)) * rtol)
+            error_norm = math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
+            rejected = True
+        self.K = np.array((k0, k1)).T
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array((n0, n1))
+        self.h_abs = h_abs
+        self.f = self.K[-1]
+        return True, None
 
 
 def _shot_tolerances(beta: float) -> dict:
@@ -375,8 +469,10 @@ def _shot_tolerances(beta: float) -> dict:
 def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float):
     """Integrate the flux system outward; returns (classification, solution).
 
-    classification: 'over' (phi crossed zero), 'under' (flux turned positive,
-    i.e. phi started growing again), 'done' (reached r_end with phi tiny).
+    `solve_ivp` steps `_ShotRK45` with dense output and the two terminal
+    events.  classification: 'over' (phi crossed zero), 'under' (flux turned
+    positive, i.e. phi started growing again), 'done' (reached r_end with phi
+    tiny).
     """
     def ev_cross(rho, y):
         return y[0]
@@ -389,7 +485,7 @@ def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float):
     ev_turn.direction = 1.0
 
     y0 = _series_start(params, beta, r0)
-    sol = solve_ivp(_shot_rhs(params), (r0, r_end), y0, method="RK45", dense_output=True,
+    sol = solve_ivp(_shot_rhs(params), (r0, r_end), y0, method=_ShotRK45, dense_output=True,
                     events=[ev_cross, ev_turn], **_shot_tolerances(beta))
     if sol.status == -1:
         raise StiffnessFailureError(f"integrator failed near the origin: {sol.message}")
@@ -405,36 +501,43 @@ def _end_kind(phi_end: float, beta: float) -> str:
     return "done" if phi_end < 1e-6 * beta else "under"
 
 
-def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float) -> str:
+def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
+                   steps: list[int] | None = None) -> str:
     """The classification of `_integrate_shot`, from its steps alone.
 
-    Drives RK45 with the start, `_shot_tolerances` and float end points that
-    solve_ivp gives it there, so the accepted steps are the same, and applies
-    the sign tests of the two terminal events on each: phi falling to <= 0
-    from >= 0 is 'over', F rising to >= 0 from <= 0 is 'under'.  No event
-    roots, dense output or stored steps are made.  Only the root times can
-    order two events on one step, so such a beta goes through
-    `_integrate_shot`.  A shot costs 2/3 of solve_ivp's (dense or not), with the same class.
+    Steps `_ShotRK45` from the start, with the `_shot_tolerances` and float
+    end points that solve_ivp gives it there, so the accepted steps are the
+    same, and applies the sign tests of the two terminal events on each:
+    phi falling to <= 0 from >= 0 is 'over', F rising to >= 0 from <= 0 is
+    'under'.  No event roots, dense output or stored steps are made.  Only
+    the root times can order two events on one step, so such a beta goes
+    through `_integrate_shot`.  The shot's accepted steps are appended to
+    `steps` when given.
     """
     y0 = _series_start(params, beta, r0)
-    solver = RK45(_shot_rhs(params), float(r0), y0, float(r_end), **_shot_tolerances(beta))
+    solver = _ShotRK45(_shot_rhs(params), float(r0), y0, float(r_end), **_shot_tolerances(beta))
     phi, flux = y0
-    while True:
+    for taken in itertools.count(1):
         message = solver.step()
         if solver.status == "failed":
             raise StiffnessFailureError(f"integrator failed near the origin: {message}")
-        phi_new, flux_new = solver.y
+        phi_new, flux_new = solver.y.tolist()
         over = phi >= 0.0 and phi_new <= 0.0
         under = flux <= 0.0 and flux_new >= 0.0
         if over and under:
-            return _integrate_shot(params, beta, r0, r_end)[0]
-        if over:
-            return "over"
-        if under:
-            return "under"
+            kind, sol = _integrate_shot(params, beta, r0, r_end)
+            taken += sol.t.size - 1
+            break
+        if over or under:
+            kind = "over" if over else "under"
+            break
         if solver.status == "finished":
-            return _end_kind(phi_new, beta)
+            kind = _end_kind(phi_new, beta)
+            break
         phi, flux = phi_new, flux_new
+    if steps is not None:
+        steps.append(taken)
+    return kind
 
 
 def shoot_profile(params: ModelParams, grid: RadialGrid,
@@ -452,7 +555,10 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     and continue with the stretched-exponential tail
     exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
     must be too.  Bracket and bisection shots are only classified; the chosen
-    beta is integrated once more with dense output and sampled.
+    beta is integrated once more with dense output and sampled.  One INFO
+    line on this module's logger gives the shots, their accepted steps, the
+    final bracket width relative to beta and the stop reason: 'hit' (a
+    'done' shot), 'bracket closed' or 'max_bisect'.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
@@ -465,11 +571,12 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     r0 = 0.5 * grid.nodes[0]
     r_end = grid.r_max
 
+    steps: list[int] = []                # accepted steps of each classified shot
     if beta_bracket is None:
         lo = beta_fixed * (1.0 + 1e-6)
         hi = 2.0 * beta_fixed
         for _ in range(64):
-            if _classify_shot(params, hi, r0, r_end) == "over":
+            if _classify_shot(params, hi, r0, r_end, steps) == "over":
                 break
             lo = hi
             hi *= 2.0
@@ -481,23 +588,26 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             raise BracketInvalidError(
                 f"beta_lo = {lo} does not exceed the constant-solution value {beta_fixed}"
                 " (phi^p(0) - omega phi(0) must be positive)")
-        kind_lo = _classify_shot(params, lo, r0, r_end)
-        kind_hi = _classify_shot(params, hi, r0, r_end)
+        kind_lo = _classify_shot(params, lo, r0, r_end, steps)
+        kind_hi = _classify_shot(params, hi, r0, r_end, steps)
         if kind_lo == kind_hi and not (kind_lo == "done" or kind_hi == "done"):
             raise BracketInvalidError(f"both endpoints classify as '{kind_lo}'")
         if kind_lo == "over" or kind_hi == "under":
             lo, hi = hi, lo
 
+    stop = "max_bisect"
     for _ in range(max_bisect):
         beta = 0.5 * (lo + hi)
-        kind = _classify_shot(params, beta, r0, r_end)
+        kind = _classify_shot(params, beta, r0, r_end, steps)
         if kind == "done":
+            stop = "hit"
             break
         if kind == "over":
             hi = beta
         else:
             lo = beta
         if hi - lo < 4.0 * np.finfo(float).eps * hi:
+            stop = "bracket closed"
             break
 
     final, sol = _integrate_shot(params, beta, r0, r_end)
@@ -505,6 +615,9 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
         raise StiffnessFailureError(
             f"beta = {beta!r} classifies as '{kind}' by its steps but as '{final}' by its"
             " dense integration")
+    log.info("shooting at %s: %d shots (%d classified, 1 dense), %d accepted steps,"
+             " final bracket %.1e of beta, stop: %s", params, len(steps) + 1, len(steps),
+             sum(steps) + sol.t.size - 1, abs(hi - lo) / beta, stop)
     values = _sample_shot(params, grid, sol)
     return Profile(grid=grid, values=values, omega=omega,
                    residual=el_residual(params, grid, values), phi0=beta)

@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import logging
 import os
 
 import numpy as np
@@ -114,6 +115,17 @@ def test_cli_groundstate_outputs(tmp_path, capsys):
     assert minimizer["kappa"] == pytest.approx(16.0 / 3.0, rel=1e-3)
     identities = json.loads((out / "identity_report.json").read_text())
     assert identities["mass"] == pytest.approx(4.0, rel=1e-4)
+
+
+def test_cli_verbose_groundstate_logs_shooting(tmp_path, capsys, caplog):
+    # --verbose shows shooting's work on a degenls child logger, not on stdout
+    cfg = _write(tmp_path, ANCHOR.replace("[solver]\n", "[solver]\nshoot = true\n"))
+    with caplog.at_level(logging.INFO, logger="degenls"):
+        assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "gs"),
+                     "--verbose"]) == 0
+    shooting = [r.getMessage() for r in caplog.records if r.name == "degenls.ground_state"]
+    assert len(shooting) == 1 and "accepted steps" in shooting[0]
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_groundstate_default_grid(tmp_path, capsys):

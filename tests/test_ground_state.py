@@ -1,8 +1,10 @@
 import importlib
+import logging
 import re
 
 import numpy as np
 import pytest
+from scipy.integrate import RK45
 
 import degenls as dl
 from degenls.exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
@@ -189,6 +191,118 @@ def test_shoot_profile_integrates_densely_once(anchor_params, anchor_grid, monke
     scalar = np.array([sol.sol(rho)[0] for rho in nodes[dense]])
     scale = np.max(np.abs(shot.values))
     assert np.max(np.abs(shot.values[dense] - scalar)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("d, a, p, grid_args", [
+    (1, 0.0, 3.0, (20.0, 4096, 1.0)), (2, 0.25, 3.0, (12.0, 1024, 1.5)),
+    (3, 0.0, 2.0, (27.6, 16384, 1.0)), (1, 0.5, 2.5, (60.0, 8192, 1.5))])
+def test_float_shot_matches_scipy_rk45(d, a, p, grid_args, monkeypatch):
+    # the float step is scipy's RK45 step: the same class, the same steps to
+    # within 1 % and the same dense trajectory to 1e-12 beta, near beta* and away
+    params = dl.ModelParams(d, a, p, 1.0)
+    grid = dl.build_grid(d, *grid_args)
+    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
+    beta_star = dl.shoot_profile(params, grid).phi0
+    original = gs.solve_ivp
+    replaced = []
+
+    def with_scipy_rk45(*args, **kwargs):
+        replaced.append(kwargs["method"])
+        return original(*args, **{**kwargs, "method": "RK45"})
+
+    for beta in (beta_star, beta_star * (1.0 - 2.0 ** -30), beta_star * (1.0 + 2.0 ** -30),
+                 beta_star * (1.0 + 2.0 ** -8), 2.0 * beta_star):
+        kind, sol = gs._integrate_shot(params, beta, r0, r_end)
+        with monkeypatch.context() as patch:
+            patch.setattr(gs, "solve_ivp", with_scipy_rk45)
+            kind_ref, ref = gs._integrate_shot(params, beta, r0, r_end)
+        assert replaced.pop() is gs._ShotRK45
+        assert kind == kind_ref, beta
+        assert abs(sol.t.size - ref.t.size) <= 0.01 * (ref.t.size - 1), beta
+        rho = np.linspace(r0, min(sol.t[-1], ref.t[-1]), 4096)
+        phi_ref = ref.sol(rho)[0]
+        near = phi_ref > 1e-3 * beta
+        assert near.any()
+        assert np.max(np.abs(sol.sol(rho)[0] - phi_ref)[near]) <= 1e-12 * beta, beta
+
+
+def test_float_step_matches_scipy_step_by_step(anchor_params, anchor_grid):
+    # from one start, with a first step so long that it is rejected, each step
+    # lands where scipy's does, to the rounding of the error estimate
+    # (measured: 1e-7 of h, 3e-8 of t)
+    r0, r_end = float(0.5 * anchor_grid.nodes[0]), float(anchor_grid.r_max)
+    y0 = gs._series_start(anchor_params, SQRT2, r0)
+    options = dict(first_step=r_end - r0, **gs._shot_tolerances(SQRT2))
+    ours = gs._ShotRK45(gs._shot_rhs(anchor_params), r0, y0, r_end, **options)
+    ref = RK45(gs._shot_rhs(anchor_params), r0, y0, r_end, **options)
+    for _ in range(50):
+        ours.step()
+        ref.step()
+        assert ours.t == pytest.approx(ref.t, rel=1e-6)
+        assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-5)
+        np.testing.assert_allclose(ours.y, ref.y, rtol=1e-6)
+    assert ours.nfev == ref.nfev
+
+
+def test_float_step_grows_only_after_an_accepted_step():
+    # phi' jumps at rho = 1: the first step, across the jump, is rejected and
+    # cut to 0.2 of its length; its error is then 0, which grows a step
+    # 10-fold, but not one just rejected; the next step, exact too, grows
+    def jump(rho, y):
+        return (0.0 if rho < 1.0 else 1.0), 0.0
+
+    for method in (RK45, gs._ShotRK45):
+        solver = method(jump, 0.5, [1.0, 0.0], 3.0, first_step=1.0, rtol=1e-10,
+                        atol=[1e-14, 1e-14])
+        solver.step()
+        assert (solver.t, solver.h_abs) == pytest.approx((0.7, 0.2)), method
+        solver.step()
+        assert (solver.t, solver.h_abs) == pytest.approx((0.9, 2.0)), method
+
+
+def test_shot_stepper_failure_is_an_error(anchor_params, anchor_grid, monkeypatch):
+    # phi' = 1/(rho - pole)^2 drives the step to 10 ulp before rho reaches the
+    # pole: TOO_SMALL_STEP, and every shot path raises instead of classifying
+    pole = 5.0
+
+    def poled_rhs(params):
+        def rhs(rho, y):
+            return 1.0 / (rho - pole) ** 2, -1.0     # phi rises, F falls: no event
+        return rhs
+
+    r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
+    solver = gs._ShotRK45(poled_rhs(anchor_params), float(r0), [1.5, 0.0], float(r_end),
+                          **gs._shot_tolerances(1.5))
+    while solver.status == "running":
+        message = solver.step()
+    assert solver.status == "failed" and message == gs._ShotRK45.TOO_SMALL_STEP
+    assert solver.t < pole and pole - solver.t < 1e-6
+    monkeypatch.setattr(gs, "_shot_rhs", poled_rhs)
+    with pytest.raises(StiffnessFailureError):
+        gs._classify_shot(anchor_params, 1.5, r0, r_end)
+    with pytest.raises(StiffnessFailureError):
+        gs._integrate_shot(anchor_params, 1.5, r0, r_end)
+    with pytest.raises(StiffnessFailureError):
+        dl.shoot_profile(anchor_params, anchor_grid)
+
+
+def test_shoot_profile_logs_its_work(anchor_params, anchor_grid, caplog):
+    # one INFO line on a degenls child logger: shots, accepted steps, the final
+    # bracket and the stop reason
+    with caplog.at_level(logging.INFO, logger="degenls"):
+        dl.shoot_profile(anchor_params, anchor_grid)
+    lines = [r for r in caplog.records if r.name.startswith("degenls.")]
+    assert len(lines) == 1 and lines[0].levelno == logging.INFO
+    match = re.search(r"(\d+) shots \((\d+) classified, 1 dense\), (\d+) accepted steps,"
+                      r" final bracket (\S+) of beta, stop: (hit|bracket closed|max_bisect)$",
+                      lines[0].getMessage())
+    assert match is not None
+    shots, classified, steps = (int(match.group(k)) for k in (1, 2, 3))
+    assert shots == classified + 1 and steps > 100 * shots
+    assert float(match.group(4)) < 1e-12
+    with caplog.at_level(logging.INFO, logger="degenls"):
+        dl.shoot_profile(anchor_params, anchor_grid, max_bisect=3)
+    assert caplog.records[-1].getMessage().endswith("stop: max_bisect")
 
 
 def test_shoot_refuses_dense_shot_that_classifies_otherwise(anchor_params, anchor_grid,
