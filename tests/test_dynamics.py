@@ -1,7 +1,12 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 import degenls as dl
+import degenls.dynamics
 from degenls.dynamics import CrankNicolson
 from degenls.exceptions import InvalidParameterError
 from degenls.functionals import lp_power_of, mass_of
@@ -111,3 +116,103 @@ def test_evolve_refuses_out_of_range_numbers(evo_setup, t_final, dt, record_ever
     params, _, wave = evo_setup
     with pytest.raises(InvalidParameterError):
         dl.evolve_and_trace(params, wave, t_final, dt, record_every=record_every)
+
+
+class _BandedReference(CrankNicolson):
+    """The stepper with every sweep solved by `solve_banded` on the unfactored band."""
+
+    def solve(self, rhs):
+        return solve_banded((1, 1), self.op.banded(-0.5, 1j / self.dt), rhs)
+
+
+_LINE = dl.build_line_grid(12.0, 512, 1.5)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+@pytest.mark.parametrize("a, grid", [
+    (0.0, dl.build_grid(1, 20.0, 2048, 1.0)),
+    (0.25, _LINE),      # coupled through the origin
+    (0.75, _LINE),      # centre link exactly 0
+], ids=["radial", "line-coupled", "line-decoupled"])
+def test_factored_solve_matches_solve_banded(a, grid, dt):
+    stepper = CrankNicolson(dl.ModelParams(1, a, 3.0, 1.0), grid, dt)
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    ref = solve_banded((1, 1), stepper.op.banded(-0.5, 1j / dt), rhs)
+    out = stepper.solve(rhs.copy())
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_steps_match_the_solve_banded_loop(evo_setup):
+    params, grid, wave = evo_setup
+    fast, ref = CrankNicolson(params, grid, 1e-3), _BandedReference(params, grid, 1e-3)
+    u = v = wave.values.astype(complex)
+    for _ in range(20):
+        u, v = fast.step(u), ref.step(v)
+    assert np.max(np.abs(u - v)) <= 1e-13 * np.max(np.abs(v))
+    assert fast.solves >= 40
+
+
+def test_band_is_factored_once_per_run(evo_setup, monkeypatch):
+    # A regression to refactoring on every sweep would call solve_banded again
+    # or factor more than once.
+    params, _, wave = evo_setup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_banded called by the stepper")
+
+    calls = {"zgttrf": 0, "zgttrs": 0}
+
+    def counting(name):
+        routine = getattr(degenls.dynamics, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(degenls.dynamics, "solve_banded", refuse)
+    for name in calls:
+        monkeypatch.setattr(degenls.dynamics, name, counting(name))
+    trace = dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
+    assert trace.times.size == 11 and trace.halt_reason == ""
+    assert calls["zgttrf"] == 1
+    assert trace.solves == calls["zgttrs"] >= 2 * 10
+
+
+def test_run_logs_its_steps_and_solves(evo_setup, caplog, capsys):
+    params, _, wave = evo_setup
+    with caplog.at_level(logging.INFO, logger="degenls.dynamics"):
+        trace = dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "degenls.dynamics"]
+    assert len(lines) == 1
+    assert f"10 steps, {trace.solves} solves" in lines[0]
+    assert "halt: t_final reached" in lines[0]
+    assert capsys.readouterr().out == ""
+
+
+def test_nan_state_raises_instead_of_blowup(evo_setup):
+    # A solver failure is not physics: it must never come back as blow-up.
+    params, grid, wave = evo_setup
+    values = wave.values.copy()
+    values[grid.n // 2] = np.nan
+    with pytest.raises(ValueError):
+        CrankNicolson(params, grid, 1e-3).step(values.astype(complex))
+    with pytest.raises(ValueError):
+        dl.evolve_and_trace(params, dataclasses.replace(wave, values=values),
+                            t_final=0.01, dt=1e-3)
+
+
+def test_singular_band_raises(evo_setup, monkeypatch):
+    params, grid, wave = evo_setup
+    factor = degenls.dynamics.zgttrf
+
+    def singular(*args, **kwargs):
+        *lu, _ = factor(*args, **kwargs)
+        return (*lu, 1)
+
+    monkeypatch.setattr(degenls.dynamics, "zgttrf", singular)
+    with pytest.raises(LinAlgError):
+        CrankNicolson(params, grid, 1e-3)
+    with pytest.raises(LinAlgError):
+        dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
