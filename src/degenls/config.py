@@ -32,7 +32,7 @@ class RunConfig:
     a: float = 0.0
     p: float = 3.0
     omega: float = 1.0
-    # grid (r_max / gamma not positive: presets.point_grid's rule fills them in)
+    # grid (r_max / gamma 0 = omitted: presets.point_grid's rule fills them in)
     n: int = 16384
     r_max: float = 0.0
     grid_gamma: float = 0.0

@@ -1,33 +1,34 @@
-"""The grid rules: every grid the toolkit lays out without being given one.
+"""The grid rule: every grid the toolkit lays out without being given one.
 
 Two facts of the paper size a grid.  The wave decays like
 exp(-sqrt(omega) rho^{1-a}/(1-a)), which fixes the domain (`default_r_max`),
 and phi' carries a rho^{1-2a} layer at the origin, which fixes the grading.
-Two rules turn them into grids:
+One rule grades every grid: `sweep_grading` on a radial grid, `line_grading`
+on the full line, which is laid out where a caller wants the Weinstein
+minimizer and the radial class misses it (`needs_line`).  `point_grid` lays
+out every grid; `sweep_grid` is one call of it.
 
-- the single-point rule (`point_grid`: `groundstate`, `spectrum`, `evolve`)
-  ends the domain where the predicted tail has fallen 12 decades and grades
-  at gamma = 2 once a > 1/2, else not at all; it only fills what the
-  `[grid]` section leaves out;
-- the sweep rule (`sweep_grid`: `sweep` and the acceptance lattice) ends it
-  at 7 decades and grades by `sweep_grading`.
+The domain keeps two lengths, each for a measured reason:
 
-Where a caller wants the Weinstein minimizer and the radial class misses it
-(`needs_line`), both lay out the full line, graded by `line_grading`.
+- `groundstate`, `spectrum` and `evolve` end it 12 decades down the
+  predicted tail: on the sweep's 7 decades the five d = 1, a = 1/4 points
+  raise NonConvergenceError at n = 131072 (floors 1.01-1.07e-8 > tol), and
+  an `evolve` run at (1, 0, 3), lambda = 0.5, N = 2048 halts on the
+  reflection guard at t = 0.001 instead of 4.83;
+- `sweep` and the acceptance lattice end it 7 decades down
+  (SWEEP_TAIL_DECADES): its coarser cells pass the gate at 25 and 32
+  points at n = 16384 and 65536, against 19 and 29 on 12 decades.
 
-The rules stay two because neither serves every n.  Of the 33 admissible
-lattice points (radial grids, omega = 1), these pass the 1e-6 Pohozaev gate:
+Of the 33 admissible lattice points (radial grids, omega = 1), these pass
+the 1e-6 Pohozaev gate under the retired single-point grading (gamma = 2
+above a = 1/2, else 1; 12 decades) and under this rule on each domain:
 
-    n        single-point rule   sweep rule
-    16384            9               25
-    65536           21               32
-    131072          24               28
+    n        retired grading   12 decades   7 decades
+    16384           9              19           25
+    65536          21              29           32
+    131072         24              32           28
 
-At n = 131072 the sweep rule misses only the five d = 1, a = 1/4 points:
-its finer cells lift the rounding floor of the minimizer's Euler-Lagrange
-defect just above the absolute tol = 1e-8, and the minimization says so
-(NonConvergenceError, with the floor).  So the sweep rule passes at least as
-many points as the single-point rule at every n.
+At every n the points the retired grading passed still pass.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def default_r_max(params: ModelParams, tail: float = 1e-12) -> float:
 
 
 def sweep_grading(a: float) -> float:
-    """Grading for identity/spectral sweeps.
+    """Grading of every radial grid whose gamma is left out.
 
     gamma = 1 keeps uniform cells at a = 0; mild grading resolves the
     rho^{1-2a} derivative layer for 0 < a <= 1/2 without inflating the
@@ -61,11 +62,6 @@ def sweep_grading(a: float) -> float:
     if a == 0.0:
         return 1.0
     return 1.5 if a <= 0.5 else 3.0
-
-
-def _point_grading(a: float) -> float:
-    """Single-point grading: gamma = 2 resolves the rho^{1-2a} layer once phi' blows up at 0."""
-    return 2.0 if a > 0.5 else 1.0
 
 
 def needs_line(params: ModelParams) -> bool:
@@ -94,40 +90,39 @@ def line_grading(a: float, n: int) -> float:
     return min(2.0, max(1.5, 1.5 * math.log2(65536) / math.log2(n)))
 
 
-def _grid(params: ModelParams, r_max: float, n: int, gamma: float, line: bool,
-          radial_grading) -> RadialGrid | LineGrid:
-    """The line (n cells a side) or the radial grid; gamma not > 0 takes the rule's grading."""
+def point_grid(params: ModelParams, n: int, r_max: float, gamma: float,
+               minimizer: bool) -> RadialGrid | LineGrid:
+    """The grid of n cells a side: the r_max and gamma given, the rule for the rest.
+
+    0.0 leaves a value out: r_max then ends the domain 12 decades down the
+    predicted tail, and gamma is `line_grading` on the line, else
+    `sweep_grading`.  Any other r_max or gamma that is not positive and finite
+    is refused.  With `minimizer` the grid holds the Weinstein minimizer: the
+    full line (n cells on each side) where `needs_line`; without it, the
+    radial (even) wave.
+    """
     if n < MIN_CELLS:    # before line_grading takes log2(n)
         raise InvalidParameterError(f"need at least {MIN_CELLS} cells, got {n}")
-    if not gamma > 0:
-        gamma = line_grading(params.a, n) if line else radial_grading(params.a)
+    for name, value in (("r_max", r_max), ("gamma", gamma)):
+        if value != 0.0 and not (value > 0.0 and math.isfinite(value)):
+            raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+    line = minimizer and needs_line(params)
+    if r_max == 0.0:
+        r_max = default_r_max(params)
+    if gamma == 0.0:
+        gamma = line_grading(params.a, n) if line else sweep_grading(params.a)
     if line:
         return build_line_grid(r_max, n, gamma)
     return build_grid(params.d, r_max, n, gamma)
 
 
-def point_grid(params: ModelParams, n: int, r_max: float, gamma: float,
-               minimizer: bool) -> RadialGrid | LineGrid:
-    """The single-point grid: the `[grid]` values given, the single-point rule for the rest.
-
-    An r_max or gamma that is not positive was left out.  With `minimizer`
-    the grid holds the Weinstein minimizer: the full line (n cells on each
-    side) where `needs_line`; without it, the radial (even) wave.
-    """
-    r_max = r_max if r_max > 0 else default_r_max(params)
-    return _grid(params, r_max, n, gamma, minimizer and needs_line(params), _point_grading)
-
-
-def sweep_grid(params: ModelParams, n: int = 65536) -> RadialGrid | LineGrid:
-    """Grid tuned for sub-1e-6 identity residuals at moderate cost.
-
-    The domain ends at `default_r_max` for a predicted tail of
-    10^-SWEEP_TAIL_DECADES.
+def sweep_grid(params: ModelParams, n: int) -> RadialGrid | LineGrid:
+    """The grid of a sweep point: the rule's grid, ending 10^-SWEEP_TAIL_DECADES down the tail.
 
     At d = 1, a > 0 the even wave is a saddle of the Weinstein quotient, so
     the grid is the full line (n cells on each side), where the minimizer
     lives.  At a = 0 the radial class already holds a minimizer (sech), and
     the full line would only add the translation zero mode.
     """
-    r_max = default_r_max(params, tail=10.0 ** (-SWEEP_TAIL_DECADES))
-    return _grid(params, r_max, n, 0.0, needs_line(params), sweep_grading)
+    return point_grid(params, n, default_r_max(params, tail=10.0 ** -SWEEP_TAIL_DECADES), 0.0,
+                      minimizer=True)

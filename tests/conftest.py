@@ -64,10 +64,10 @@ def wave_cache():
         key = (d, a, p, n, tail_decades)
         if key not in cache:
             params = dl.ModelParams(d, a, p, 1.0)
-            from degenls.presets import default_r_max, sweep_grading
+            from degenls.presets import default_r_max, point_grid
             # The radial wave, also at d = 1, a > 0 where sweep_grid hands out the line.
-            r_max = default_r_max(params, tail=10.0 ** (-tail_decades))
-            grid = dl.build_grid(d, r_max, n, sweep_grading(a))
+            grid = point_grid(params, n, default_r_max(params, tail=10.0 ** -tail_decades), 0.0,
+                              minimizer=False)
             cache[key] = (params, dl.ground_state(params, grid))
         return cache[key]
 

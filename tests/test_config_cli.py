@@ -128,9 +128,11 @@ def test_cli_verbose_groundstate_logs_shooting(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_groundstate_default_grid(tmp_path, capsys):
+@pytest.mark.parametrize("d, a, p, omega", [(2, 0.0, 2.5, 1.5), (1, 0.25, 2.0, 1.0),
+                                             (1, 0.5, 2.0, 1.0)])
+def test_cli_groundstate_default_grid(tmp_path, capsys, d, a, p, omega):
     # [grid] gives n only: presets.point_grid sizes the domain and grading
-    cfg = _write(tmp_path, "[model]\nd = 2\na = 0.0\np = 2.5\nomega = 1.5\n\n"
+    cfg = _write(tmp_path, f"[model]\nd = {d}\na = {a}\np = {p}\nomega = {omega}\n\n"
                            "[grid]\nn = 16384\n\n[solver]\nshoot = true\n")
     out = tmp_path / "gs"
     assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 0
@@ -150,6 +152,19 @@ def test_cli_too_few_cells_exits_2(tmp_path, capsys, command, n):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload == {"error": "invalid-parameter",
                        "message": f"need at least 16 cells, got {n}"}
+
+
+@pytest.mark.parametrize("command", ["groundstate", "spectrum", "evolve"])
+@pytest.mark.parametrize("key, value", [("r_max", "-20"), ("gamma", "nan"), ("gamma", "-1")])
+def test_cli_bad_grid_value_exits_2(tmp_path, capsys, command, key, value):
+    # only 0 (the RunConfig default) leaves a [grid] value to the rule; the short
+    # t_final keeps an evolve run that is not refused cheap
+    cfg = _write(tmp_path, f"[model]\nd = 1\na = 0.25\np = 3.0\n\n"
+                           f"[grid]\nn = 1024\n{key} = {value}\n\n[dynamics]\nt_final = 0.01\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "invalid-parameter",
+                       "message": f"{key} must be positive and finite, got {float(value)}"}
 
 
 def test_cli_groundstate_minimizes_once_at_shifted_omega(tmp_path, monkeypatch):
