@@ -134,6 +134,7 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
         "mass_drift": float(abs(trace.mass[-1] - trace.mass[0]) / trace.mass[0]),
         "energy_drift": float(abs(trace.energy[-1] - trace.energy[0])
                               / max(abs(trace.energy[0]), 1e-300)),
+        "solves": trace.solves,
     })
     return EXIT_OK
 

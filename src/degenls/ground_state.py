@@ -379,7 +379,9 @@ class _ShotRK45(RK45):
     factor bounds 0.2 and 10, error_exponent and a minimum step of 10 ulp
     of t.  Only the arithmetic differs: on two components, scipy's
     per-stage array work costs more than the sums it does.  The step stores
-    K, y, y_old, f and h_abs as RK45 does, so RK45's dense output and
+    y, y_old, f and h_abs as RK45 does, and the stages as lists; RK45's
+    stage array K is built from them only when a dense output asks for it,
+    so a stepped shot builds none, while RK45's dense output and
     `solve_ivp`'s events work unchanged.  The right-hand side is called
     unwrapped with a tuple (phi, F) and must return two floats.
     """
@@ -451,14 +453,18 @@ class _ShotRK45(RK45):
                 break
             h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
             rejected = True
-        self.K = np.array((k0, k1)).T
+        self._k = k0, k1
         self.h_previous = h
         self.y_old = self.y
         self.t = t_new
         self.y = np.array((n0, n1))
         self.h_abs = h_abs
-        self.f = self.K[-1]
+        self.f = np.array((k0[-1], k1[-1]))
         return True, None
+
+    def _dense_output_impl(self):
+        self.K = np.array(self._k).T
+        return super()._dense_output_impl()
 
 
 def _shot_tolerances(beta: float) -> dict:

@@ -233,6 +233,7 @@ dt = 0.001
     summary = json.loads((out / "evolution_summary.json").read_text())
     assert summary["blowup_flag"] is False
     assert summary["mass_drift"] < 1e-9
+    assert 2 * 20 <= summary["solves"] <= 3 * 20 + 4      # 20 steps, a polish each
     assert (out / "final_state.csv").exists()
 
 

@@ -111,7 +111,8 @@ def test_evolve_refuses_a_bare_array(evo_setup):
 
 
 @pytest.mark.parametrize("t_final, dt, record_every",
-                         [(0.01, 0.0, 1), (0.01, -1e-3, 1), (-0.01, 1e-3, 1), (0.01, 1e-3, 0)])
+                         [(0.01, 0.0, 1), (0.01, -1e-3, 1), (-0.01, 1e-3, 1), (0.01, 1e-3, 0),
+                          (0.01, 1e-3, 2.5)])
 def test_evolve_refuses_out_of_range_numbers(evo_setup, t_final, dt, record_every):
     params, _, wave = evo_setup
     with pytest.raises(InvalidParameterError):
@@ -178,6 +179,69 @@ def test_band_is_factored_once_per_run(evo_setup, monkeypatch):
     assert trace.times.size == 11 and trace.halt_reason == ""
     assert calls["zgttrf"] == 1
     assert trace.solves == calls["zgttrs"] >= 2 * 10
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.02])
+def test_steps_take_three_solves(evo_setup, lam):
+    # extrapolated start and contraction-rate stop: two sweeps and the polish
+    # a step once the history holds two states (five a step from u itself);
+    # the scaled wave moves enough that the start alone leaves a third sweep
+    params, grid, wave = evo_setup
+    u0 = wave if lam == 1.0 else dl.l2_scale(wave, lam, grid=grid)
+    trace = dl.evolve_and_trace(params, u0, t_final=0.2, dt=1e-3)
+    assert trace.halt_reason == "" and trace.times.size == 201
+    assert trace.solves <= 3 * 200 + 4
+
+
+def test_a_copy_of_the_last_output_starts_afresh(evo_setup):
+    # the history is used only when step is fed its own last output
+    params, grid, wave = evo_setup
+    stepper = CrankNicolson(params, grid, 1e-3)
+    u = wave.values.astype(complex)
+    for _ in range(5):
+        u = stepper.step(u)
+    before = stepper.solves
+    stepper.step(u)                    # its own last output: started from the history
+    own = stepper.solves - before
+    fresh = CrankNicolson(params, grid, 1e-3)
+    before = stepper.solves
+    assert np.array_equal(stepper.step(u.copy()), fresh.step(u.copy()))
+    assert stepper.solves - before == fresh.solves > own
+
+
+class _Forgetful(CrankNicolson):
+    """The stepper fed a copy of each state, so every step starts from u."""
+
+    def step(self, u):
+        return super().step(u.copy())
+
+
+def _assert_run_matches_forgetful_run(monkeypatch, params, u0, t_final, dt):
+    trace = dl.evolve_and_trace(params, u0, t_final, dt)
+    with monkeypatch.context() as patch:
+        patch.setattr(degenls.dynamics, "CrankNicolson", _Forgetful)
+        ref = dl.evolve_and_trace(params, u0, t_final, dt)
+    assert trace.halt_reason == ref.halt_reason == ""
+    assert trace.solves < ref.solves
+    np.testing.assert_allclose(trace.final_u, ref.final_u, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(ref.final_u)))
+    np.testing.assert_allclose(trace.mass, ref.mass, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace.energy, ref.energy, rtol=1e-12, atol=0.0)
+
+
+def test_extrapolated_start_keeps_the_run(evo_setup, monkeypatch):
+    # the start changes the sweeps, not the fixed point: 200 steps agree to
+    # 1e-12 with the same run started from u on every step
+    params, grid, wave = evo_setup
+    u0 = dl.l2_scale(wave, 1.02, grid=grid)
+    _assert_run_matches_forgetful_run(monkeypatch, params, u0, 0.2, 1e-3)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.75], ids=["line-coupled", "line-decoupled"])
+def test_extrapolated_start_keeps_the_run_on_the_line(a, monkeypatch):
+    params = dl.ModelParams(1, a, 3.0, 1.0)
+    u0 = dl.Profile(grid=_LINE, values=np.sqrt(2.0) / np.cosh(2.0 * _LINE.nodes), omega=1.0)
+    _assert_run_matches_forgetful_run(monkeypatch, params, u0, 0.2, 1e-3)
 
 
 def test_run_logs_its_steps_and_solves(evo_setup, caplog, capsys):

@@ -260,6 +260,28 @@ def test_float_step_grows_only_after_an_accepted_step():
         assert (solver.t, solver.h_abs) == pytest.approx((0.9, 2.0)), method
 
 
+def test_classified_shot_builds_no_stage_array(anchor_params, anchor_grid, monkeypatch):
+    # K feeds RK45's dense output only: a classified shot's steps leave the
+    # array RK45.__init__ made in place, and a dense shot builds it
+    solvers = []
+
+    class Recording(gs._ShotRK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.initial_k = self.K
+            solvers.append(self)
+
+    monkeypatch.setattr(gs, "_ShotRK45", Recording)
+    r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
+    steps = []
+    assert gs._classify_shot(anchor_params, 1.01 * SQRT2, r0, r_end, steps=steps) == "over"
+    assert len(solvers) == 1 and steps[0] > 10
+    assert solvers[0].K is solvers[0].initial_k
+    kind, sol = gs._integrate_shot(anchor_params, 1.01 * SQRT2, r0, r_end)
+    assert kind == "over" and sol.t.size == steps[0] + 1
+    assert len(solvers) == 2 and solvers[1].K is not solvers[1].initial_k
+
+
 def test_shot_stepper_failure_is_an_error(anchor_params, anchor_grid, monkeypatch):
     # phi' = 1/(rho - pole)^2 drives the step to 10 ulp before rho reaches the
     # pole: TOO_SMALL_STEP, and every shot path raises instead of classifying
