@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,15 +50,29 @@ class OriginReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _fit_at_power(rho: np.ndarray, logphi: np.ndarray, q: float):
-    """Least-squares c - delta rho^q; returns (delta, residual sum, r2)."""
-    x = rho ** q
-    coeffs, info = np.polyfit(x, logphi, 1, full=True)[:2]
-    delta = -coeffs[0]
-    ss_res = float(info[0]) if info.size else 0.0
-    ss_tot = float(np.sum((logphi - logphi.mean()) ** 2))
+def _tail_samples(profile: Profile, lo: float, hi: float):
+    """(rho, phi, log phi) at the nodes of [lo, hi] where phi > 0."""
+    nodes, values = profile.grid.nodes, profile.values
+    mask = (nodes >= lo) & (nodes <= hi) & (values > 0.0)
+    phi = values[mask]
+    return nodes[mask], phi, np.log(phi)
+
+
+def _fit_at_power(log_rho: np.ndarray, ell_c: np.ndarray, ss_tot: float, q: float):
+    """Least-squares line log phi ~ c - delta rho^q; returns (delta, residual sum, r2).
+
+    ell_c is log phi less its mean and ss_tot its sum of squares.  With x =
+    rho^q = exp(q log rho) centred on its mean, the slope is <x, ell_c>/<x, x>;
+    the residual sum is summed from the residuals, which stays accurate when
+    the line fits well, where ss_tot - <x, ell_c>^2/<x, x> would cancel.
+    """
+    x = np.exp(q * log_rho)
+    x -= x.mean()
+    slope = float(np.dot(x, ell_c) / np.dot(x, x))
+    resid = ell_c - slope * x
+    ss_res = float(np.dot(resid, resid))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return delta, ss_res, r2
+    return -slope, ss_res, r2
 
 
 def fit_decay(profile: Profile, params: ModelParams,
@@ -66,23 +81,31 @@ def fit_decay(profile: Profile, params: ModelParams,
 
     Stage one scans the exponent q over a grid and refines the best value by
     parabolic interpolation of the misfit; stage two refits the rate at the
-    fixed exponent q = 1 - a predicted by the Agmon weight.  The last 10% of
-    the grid is excluded as Dirichlet-contaminated.
+    fixed exponent q = 1 - a predicted by the Agmon weight.  Each fit is the
+    closed-form least-squares line in x = rho^q, on log rho taken and log phi
+    centred once for all of them.  The last 10% of the grid is excluded as
+    Dirichlet-contaminated: an upper end beyond 0.9 r_max, +inf included, is
+    clipped there.  A non-finite lower end, or an upper end that is NaN or
+    -inf, is refused.
     """
     grid = profile.grid
     if window is None:
         window = (0.4 * grid.r_max, 0.9 * grid.r_max)
     lo, hi = window
+    if not (math.isfinite(lo) and (math.isfinite(hi) or hi == math.inf)):
+        raise InvalidParameterError(
+            f"fit window {window} needs a finite lower end and a finite or +inf upper end")
     hi = min(hi, 0.9 * grid.r_max)
-    mask = (grid.nodes >= lo) & (grid.nodes <= hi) & (profile.values > 0.0)
-    if int(mask.sum()) < 32:
+    rho, _, logphi = _tail_samples(profile, lo, hi)
+    if rho.size < 32:
         raise WindowTooShortError(
-            f"only {int(mask.sum())} usable nodes in the fit window {window}")
-    rho = grid.nodes[mask]
-    logphi = np.log(profile.values[mask])
+            f"only {rho.size} usable nodes in the fit window {window}")
+    log_rho = np.log(rho)
+    ell_c = logphi - logphi.mean()
+    ss_tot = float(np.dot(ell_c, ell_c))
 
     qs = np.linspace(0.05, 1.6, 156)
-    misfit = np.array([_fit_at_power(rho, logphi, q)[1] for q in qs])
+    misfit = np.array([_fit_at_power(log_rho, ell_c, ss_tot, q)[1] for q in qs])
     k = int(np.argmin(misfit))
     if 0 < k < qs.size - 1:
         # parabolic refinement of the misfit minimum
@@ -92,10 +115,10 @@ def fit_decay(profile: Profile, params: ModelParams,
         q_free = qs[k] + shift * (qs[1] - qs[0])
     else:
         q_free = qs[k]
-    delta_free = _fit_at_power(rho, logphi, q_free)[0]
+    delta_free = _fit_at_power(log_rho, ell_c, ss_tot, q_free)[0]
 
     q_fixed = 1.0 - params.a
-    delta, _, r2 = _fit_at_power(rho, logphi, q_fixed)
+    delta, _, r2 = _fit_at_power(log_rho, ell_c, ss_tot, q_fixed)
     return DecayFit(delta=delta, power=float(q_free), delta_free=delta_free,
                     q_fixed=q_fixed, r2=r2, window=(float(lo), float(hi)),
                     delta_pred=np.sqrt(params.omega) / (1.0 - params.a))
@@ -103,18 +126,14 @@ def fit_decay(profile: Profile, params: ModelParams,
 
 def write_fit_overlay(profile: Profile, fit: DecayFit, path) -> None:
     """CSV of the profile against the fitted tail curve over the fit window."""
-    lo, hi = fit.window
-    mask = (profile.grid.nodes >= lo) & (profile.grid.nodes <= hi) \
-        & (profile.values > 0.0)
-    rho = profile.grid.nodes[mask]
-    logphi = np.log(profile.values[mask])
+    rho, phi, logphi = _tail_samples(profile, *fit.window)
     x = rho ** fit.q_fixed
     intercept = float(np.mean(logphi + fit.delta * x))
     fitted = np.exp(intercept - fit.delta * x)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "phi", "fit"])
-        for row in zip(rho, profile.values[mask], fitted):
+        for row in zip(rho, phi, fitted):
             writer.writerow([format(v, ".17g") for v in row])
 
 

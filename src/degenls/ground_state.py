@@ -371,94 +371,115 @@ def _shot_rhs(params: ModelParams):
     return rhs
 
 
-class _ShotRK45(RK45):
-    """scipy's RK45 for the two-component shot system, its step taken on Python floats.
+# The Dormand-Prince tableau of scipy's RK45, read once: C's nodes, A's lower
+# triangle, B's weights and E's error weights.  B[1] and E[1] are zero, and
+# `_rk45_step` leaves out their terms, which is exact for finite stages.
+_C1, _C2, _C3, _C4, _C5 = RK45.C[1:].tolist()
+((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
+ (_A50, _A51, _A52, _A53, _A54)) = (row[:s] for s, row in enumerate(RK45.A.tolist()) if s)
+_B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
+_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
-    `_step_impl` is RK45's: the Dormand-Prince stages of the class's own A,
-    B, C and E, the RMS error norm, and the step control with safety 0.9,
-    factor bounds 0.2 and 10, error_exponent and a minimum step of 10 ulp
-    of t.  Only the arithmetic differs: on two components, scipy's
-    per-stage array work costs more than the sums it does.  The step stores
-    y, y_old, f and h_abs as RK45 does, and the stages as lists; RK45's
-    stage array K is built from them only when a dense output asks for it,
-    so a stepped shot builds none, while RK45's dense output and
-    `solve_ivp`'s events work unchanged.  The right-hand side is called
-    unwrapped with a tuple (phi, F) and must return two floats.
+
+def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
+               rtol, atol0, atol1):
+    """One accepted step of scipy's RK45 for a two-component system, on Python floats.
+
+    The step control is RK45's: h_abs clipped to [10 ulp of t, max_step],
+    the RMS error norm, safety 0.9, factor bounds 0.2 and 10,
+    `_ERROR_EXPONENT`, no growth right after a rejection, and a step that
+    falls below 10 ulp of t fails.  Each stage sum runs over the tableau's
+    nonzero entries in RK45's left-to-right order.  rhs(t, (y0, y1)) returns
+    two floats and (f0, f1) is its value at (t, y).  Returns (t_new, y0, y1,
+    h_abs, k0, k1, attempts): the new point, the next step size, the seven
+    stages of each component (the last is the right-hand side at the new
+    point) and the tries it took; None when the step failed.
     """
+    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    if h_abs > max_step:
+        h_abs = max_step
+    elif h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    attempts = 0
+    while True:
+        if h_abs < min_step:
+            return None
+        attempts += 1
+        t_new = t + h_abs * direction
+        if direction * (t_new - t_bound) > 0:
+            t_new = t_bound
+        h = t_new - t
+        h_abs = abs(h)
+        # u, v: the stages of the first and second component
+        u1, v1 = rhs(t + _C1 * h, (y0 + f0 * _A10 * h, y1 + f1 * _A10 * h))
+        u2, v2 = rhs(t + _C2 * h, (y0 + (f0 * _A20 + u1 * _A21) * h,
+                                   y1 + (f1 * _A20 + v1 * _A21) * h))
+        u3, v3 = rhs(t + _C3 * h, (y0 + (f0 * _A30 + u1 * _A31 + u2 * _A32) * h,
+                                   y1 + (f1 * _A30 + v1 * _A31 + v2 * _A32) * h))
+        u4, v4 = rhs(t + _C4 * h,
+                     (y0 + (f0 * _A40 + u1 * _A41 + u2 * _A42 + u3 * _A43) * h,
+                      y1 + (f1 * _A40 + v1 * _A41 + v2 * _A42 + v3 * _A43) * h))
+        u5, v5 = rhs(t + _C5 * h,
+                     (y0 + (f0 * _A50 + u1 * _A51 + u2 * _A52 + u3 * _A53 + u4 * _A54) * h,
+                      y1 + (f1 * _A50 + v1 * _A51 + v2 * _A52 + v3 * _A53 + v4 * _A54) * h))
+        n0 = y0 + (f0 * _B0 + u2 * _B2 + u3 * _B3 + u4 * _B4 + u5 * _B5) * h
+        n1 = y1 + (f1 * _B0 + v2 * _B2 + v3 * _B3 + v4 * _B4 + v5 * _B5) * h
+        u6, v6 = rhs(t + h, (n0, n1))
+        x0 = ((f0 * _E0 + u2 * _E2 + u3 * _E3 + u4 * _E4 + u5 * _E5 + u6 * _E6) * h
+              / (atol0 + max(abs(y0), abs(n0)) * rtol))
+        x1 = ((f1 * _E0 + v2 * _E2 + v3 * _E3 + v4 * _E4 + v5 * _E5 + v6 * _E6) * h
+              / (atol1 + max(abs(y1), abs(n1)) * rtol))
+        error_norm = math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)
+        if error_norm < 1:
+            if error_norm == 0:
+                factor = _MAX_FACTOR
+            else:
+                factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            if rejected:
+                factor = min(1.0, factor)
+            return (t_new, n0, n1, h_abs * factor, (f0, u1, u2, u3, u4, u5, u6),
+                    (f1, v1, v2, v3, v4, v5, v6), attempts)
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+        rejected = True
 
-    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+class _ShotRK45(RK45):
+    """scipy's RK45 for the two-component shot system, its step taken by `_rk45_step`.
+
+    `_step_impl` is a thin wrapper: it hands the state to `_rk45_step` and
+    stores y, y_old, f, h_abs and the stages as RK45 does, the stages as
+    tuples; RK45's stage array K is built from them only when a dense output
+    asks for it, so RK45's dense output and `solve_ivp`'s events work
+    unchanged.  A solver made here also gives `_classify_shot` scipy's
+    initial step and f, after which that loop calls `_rk45_step` itself.
+    The right-hand side is called unwrapped with a tuple (phi, F) and must
+    return two floats.
+    """
 
     def __init__(self, fun, *args, **kwargs):
         super().__init__(fun, *args, **kwargs)
         self._rhs = fun
-        # (c, row) of each right-hand side call after f: A's stages, then B's
-        # combination at t + h, which is the step's end point and its new f
-        rows = self.A.tolist()
-        self._stages = [(c, rows[s][:s]) for s, c in enumerate(self.C.tolist()) if s]
-        self._stages.append((1.0, self.B.tolist()))
-        self._e = self.E.tolist()
         atol = np.broadcast_to(self.atol, 2).tolist()
         self._tolerances = float(self.rtol), atol[0], atol[1]
         self._direction = float(self.direction)
 
     def _step_impl(self):
-        rhs, stages, e = self._rhs, self._stages, self._e
-        rtol, atol0, atol1 = self._tolerances
-        direction, t, t_bound = self._direction, self.t, self.t_bound
         y0, y1 = self.y.tolist()
         f0, f1 = self.f.tolist()
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = float(self.h_abs)
-        if h_abs > self.max_step:
-            h_abs = self.max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            # k0, k1: the stages' two components; s0, s1: a stage sum; n0, n1: a
-            # stage's point, after the last stage the step's end
-            k0, k1 = [f0], [f1]
-            for c, row in stages:
-                s0 = s1 = 0.0
-                for g0, g1, coeff in zip(k0, k1, row):
-                    s0 += g0 * coeff
-                    s1 += g1 * coeff
-                n0, n1 = y0 + s0 * h, y1 + s1 * h
-                g0, g1 = rhs(t + c * h, (n0, n1))
-                k0.append(g0)
-                k1.append(g1)
-            self.nfev += len(stages)
-            s0 = s1 = 0.0
-            for g0, g1, coeff in zip(k0, k1, e):
-                s0 += g0 * coeff
-                s1 += g1 * coeff
-            x0 = s0 * h / (atol0 + max(abs(y0), abs(n0)) * rtol)
-            x1 = s1 * h / (atol1 + max(abs(y1), abs(n1)) * rtol)
-            error_norm = math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = self.MAX_FACTOR
-                else:
-                    factor = min(self.MAX_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** self.error_exponent)
-            rejected = True
+        step = _rk45_step(self._rhs, self.t, y0, y1, f0, f1, float(self.h_abs), self.t_bound,
+                          self._direction, self.max_step, *self._tolerances)
+        if step is None:
+            return False, self.TOO_SMALL_STEP
+        t_new, n0, n1, self.h_abs, k0, k1, attempts = step
+        self.nfev += self.n_stages * attempts
         self._k = k0, k1
-        self.h_previous = h
+        self.h_previous = t_new - self.t
         self.y_old = self.y
         self.t = t_new
         self.y = np.array((n0, n1))
-        self.h_abs = h_abs
         self.f = np.array((k0[-1], k1[-1]))
         return True, None
 
@@ -511,23 +532,30 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
                    steps: list[int] | None = None) -> str:
     """The classification of `_integrate_shot`, from its steps alone.
 
-    Steps `_ShotRK45` from the start, with the `_shot_tolerances` and float
-    end points that solve_ivp gives it there, so the accepted steps are the
-    same, and applies the sign tests of the two terminal events on each:
-    phi falling to <= 0 from >= 0 is 'over', F rising to >= 0 from <= 0 is
-    'under'.  No event roots, dense output or stored steps are made.  Only
-    the root times can order two events on one step, so such a beta goes
-    through `_integrate_shot`.  The shot's accepted steps are appended to
-    `steps` when given.
+    Builds one `_ShotRK45` with the `_shot_tolerances` and float end points
+    that solve_ivp gives it there, for scipy's initial step and f, then calls
+    `_rk45_step` on floats, so the accepted steps are the same without
+    `OdeSolver.step` or an array per step.  The sign tests of the two
+    terminal events are applied on each step: phi falling to <= 0 from >= 0
+    is 'over', F rising to >= 0 from <= 0 is 'under'.  No event roots,
+    dense output or stored steps are made.  Only the root times can order
+    two events on one step, so such a beta goes through `_integrate_shot`.
+    The shot's accepted steps are appended to `steps` when given.
     """
     y0 = _series_start(params, beta, r0)
     solver = _ShotRK45(_shot_rhs(params), float(r0), y0, float(r_end), **_shot_tolerances(beta))
-    phi, flux = y0
+    rhs, t, t_bound, direction = solver._rhs, solver.t, solver.t_bound, solver._direction
+    max_step, (rtol, atol0, atol1) = solver.max_step, solver._tolerances
+    phi, flux = solver.y.tolist()
+    f0, f1 = solver.f.tolist()
+    h_abs = float(solver.h_abs)
     for taken in itertools.count(1):
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessFailureError(f"integrator failed near the origin: {message}")
-        phi_new, flux_new = solver.y.tolist()
+        step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, direction, max_step,
+                          rtol, atol0, atol1)
+        if step is None:
+            raise StiffnessFailureError(
+                f"integrator failed near the origin: {_ShotRK45.TOO_SMALL_STEP}")
+        t, phi_new, flux_new, h_abs, k0, k1, _ = step
         over = phi >= 0.0 and phi_new <= 0.0
         under = flux <= 0.0 and flux_new >= 0.0
         if over and under:
@@ -537,10 +565,10 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
         if over or under:
             kind = "over" if over else "under"
             break
-        if solver.status == "finished":
+        if direction * (t - t_bound) >= 0:
             kind = _end_kind(phi_new, beta)
             break
-        phi, flux = phi_new, flux_new
+        phi, flux, f0, f1 = phi_new, flux_new, k0[6], k1[6]
     if steps is not None:
         steps.append(taken)
     return kind
@@ -560,7 +588,9 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     down to the graft point, the lowest positive sample of its dense output,
     and continue with the stretched-exponential tail
     exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
-    must be too.  Bracket and bisection shots are only classified; the chosen
+    must be too.  A given beta_bracket, in either order, needs finite ends
+    above the constant solution omega^{1/(p-1)}; it is checked before any
+    shot.  Bracket and bisection shots are only classified; the chosen
     beta is integrated once more with dense output and sampled.  One INFO
     line on this module's logger gives the shots, their accepted steps, the
     final bracket width relative to beta and the stop reason: 'hit' (a
@@ -590,10 +620,12 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             raise BracketInvalidError("could not find an overshooting upper endpoint")
     else:
         lo, hi = beta_bracket
-        if lo <= beta_fixed:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BracketInvalidError(f"beta_bracket = {beta_bracket} has a non-finite end")
+        if min(lo, hi) <= beta_fixed:
             raise BracketInvalidError(
-                f"beta_lo = {lo} does not exceed the constant-solution value {beta_fixed}"
-                " (phi^p(0) - omega phi(0) must be positive)")
+                f"beta_bracket = {beta_bracket} has an end at or below the constant-solution"
+                f" value {beta_fixed} (phi^p(0) - omega phi(0) must be positive)")
         kind_lo = _classify_shot(params, lo, r0, r_end, steps)
         kind_hi = _classify_shot(params, hi, r0, r_end, steps)
         if kind_lo == kind_hi and not (kind_lo == "done" or kind_hi == "done"):

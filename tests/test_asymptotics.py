@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import degenls as dl
-from degenls.exceptions import ResolutionInsufficientError, WindowTooShortError
+from degenls.exceptions import (InvalidParameterError, ResolutionInsufficientError,
+                                WindowTooShortError)
 from degenls.presets import default_r_max
 
 
@@ -36,6 +37,55 @@ def test_decay_window_too_short(decay_wave_a0):
     with pytest.raises(WindowTooShortError):
         dl.fit_decay(wave, params, window=(wave.grid.r_max * 0.899,
                                            wave.grid.r_max * 0.9))
+
+
+@pytest.mark.parametrize("window", [(float("nan"), 10.0), (5.0, float("nan")),
+                                    (-float("inf"), 10.0), (5.0, -float("inf"))])
+def test_decay_window_must_be_finite(decay_wave_a0, window):
+    params, wave = decay_wave_a0
+    with pytest.raises(InvalidParameterError):
+        dl.fit_decay(wave, params, window=window)
+
+
+def test_decay_window_upper_end_clips_to_the_grid(decay_wave_a0):
+    params, wave = decay_wave_a0
+    fit = dl.fit_decay(wave, params, window=(5.0, float("inf")))
+    assert fit.window == (5.0, 0.9 * wave.grid.r_max)
+    assert fit == dl.fit_decay(wave, params, window=(5.0, 0.9 * wave.grid.r_max))
+
+
+def _polyfit_decay(profile, params):
+    """fit_decay's scan and refinement with one np.polyfit line per exponent."""
+    grid = profile.grid
+    mask = (grid.nodes >= 0.4 * grid.r_max) & (grid.nodes <= 0.9 * grid.r_max) \
+        & (profile.values > 0.0)
+    rho, logphi = grid.nodes[mask], np.log(profile.values[mask])
+    ss_tot = np.sum((logphi - logphi.mean()) ** 2)
+
+    def fit(q):
+        coeffs, ss_res = np.polyfit(rho ** q, logphi, 1, full=True)[:2]
+        return -coeffs[0], ss_res[0], 1.0 - ss_res[0] / ss_tot
+
+    qs = np.linspace(0.05, 1.6, 156)
+    misfit = [fit(q)[1] for q in qs]
+    k = int(np.argmin(misfit))
+    assert 0 < k < qs.size - 1
+    y0, y1, y2 = misfit[k - 1:k + 2]
+    q_free = qs[k] + 0.5 * (y0 - y2) / (y0 - 2.0 * y1 + y2) * (qs[1] - qs[0])
+    delta, _, r2 = fit(1.0 - params.a)
+    return delta, q_free, fit(q_free)[0], r2
+
+
+@pytest.mark.parametrize("a, n", [(0.0, 8192), (0.5, 16384)])
+def test_closed_form_fit_matches_polyfit(a, n):
+    # the criterion-9 waves: the closed-form lines give the polyfit scan's figures
+    params = dl.ModelParams(1, a, 3.0, 1.0)
+    grid = dl.build_grid(1, default_r_max(params), n, 1.0 if a == 0.0 else 1.5)
+    wave = dl.ground_state(params, grid)
+    fit = dl.fit_decay(wave, params)
+    ref = _polyfit_decay(wave, params)
+    ours = (fit.delta, fit.power, fit.delta_free, fit.r2)
+    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0.0)
 
 
 def test_decay_fit_half_weight():

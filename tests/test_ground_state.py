@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45
+from scipy.integrate import RK45, OdeSolver
 
 import degenls as dl
 from degenls.exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
@@ -138,6 +138,18 @@ def test_shoot_bracket_same_classification_rejected(anchor_params, anchor_grid):
         dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.01, 1.02))
 
 
+@pytest.mark.parametrize("bracket", [(1.8, 0.9), (float("nan"), 1.8), (1.2, float("inf"))])
+def test_shoot_refuses_bracket_before_any_shot(anchor_params, anchor_grid, monkeypatch,
+                                              bracket):
+    # beta_fixed = 1: a reversed bracket whose lower end lies below it, and a
+    # non-finite end, are refused before a shot is taken
+    shots = []
+    monkeypatch.setattr(gs, "_classify_shot", lambda *args, **kwargs: shots.append(args))
+    with pytest.raises(BracketInvalidError):
+        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=bracket)
+    assert shots == []
+
+
 @pytest.mark.parametrize("max_bisect", [0, -1])
 def test_shoot_rejects_max_bisect_below_one(anchor_params, anchor_grid, max_bisect):
     with pytest.raises(InvalidParameterError):
@@ -163,6 +175,60 @@ def test_shot_classifier_matches_event_integration(d, a, p, r_max, n):
         assert kind == gs._integrate_shot(params, beta, r0, r_end)[0], beta
         kinds.append(kind)
     assert {"over", "under"} <= set(kinds)
+
+
+def _classifier_betas(beta_star):
+    """Central values near beta*, far from it, below beta_fixed = 1 and at the search's ends."""
+    betas = [beta_star * (1.0 + s * 2.0 ** -k) for k in (1, 3, 8, 17, 30, 40, 45)
+             for s in (-1.0, 1.0)]
+    return betas + [1.0 + 1e-6, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("d, a, p, r_max, n", [(1, 0.0, 3.0, 20.0, 4096),
+                                               (2, 0.25, 3.0, 12.0, 1024)])
+def test_classified_shot_takes_the_dense_shots_steps(d, a, p, r_max, n):
+    # the float steps of a classified shot are the accepted steps solve_ivp
+    # takes with _ShotRK45, up to the step of its terminal event
+    params = dl.ModelParams(d, a, p, 1.0)
+    grid = dl.build_grid(d, r_max, n, 1.0 if a == 0 else 1.5)
+    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
+    for beta in _classifier_betas(dl.shoot_profile(params, grid).phi0):
+        steps = []
+        gs._classify_shot(params, beta, r0, r_end, steps)
+        _, sol = gs._integrate_shot(params, beta, r0, r_end)
+        assert steps == [sol.t.size - 1], beta
+
+
+def test_classified_shot_never_calls_ode_solver_step(anchor_params, anchor_grid, monkeypatch):
+    # after RK45's initial step and f, a classified shot steps on floats: no
+    # OdeSolver.step call, while a dense shot goes through it
+    calls = []
+    original = OdeSolver.step
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(OdeSolver, "step", spy)
+    r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
+    for beta, kind in ((1.01 * SQRT2, "over"), (0.99 * SQRT2, "under")):
+        assert gs._classify_shot(anchor_params, beta, r0, r_end) == kind
+    assert calls == []
+    gs._integrate_shot(anchor_params, 1.01 * SQRT2, r0, r_end)
+    assert calls
+
+
+def test_float_step_reads_scipys_tableau():
+    # the unrolled stage sums use scipy's RK45 entries, and leave out B[1] and
+    # E[1], which must be its only zero weights; A is strictly lower triangular
+    names = {f"_C{i}": RK45.C[i] for i in range(1, 6)}
+    names.update({f"_A{i}{j}": RK45.A[i, j] for i in range(1, 6) for j in range(i)})
+    names.update({f"_B{i}": RK45.B[i] for i in range(6)})
+    names.update({f"_E{i}": RK45.E[i] for i in range(7)})
+    assert {name: getattr(gs, name) for name in names} == names
+    assert sorted(name for name, value in names.items() if value == 0.0) == ["_B1", "_E1"]
+    assert (len(RK45.A), RK45.C.size, RK45.B.size, RK45.E.size) == (6, 6, 6, 7)
+    assert RK45.C[0] == 0.0 and not np.triu(RK45.A).any()
 
 
 def test_shoot_profile_integrates_densely_once(anchor_params, anchor_grid, monkeypatch):
