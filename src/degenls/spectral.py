@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,101 +52,123 @@ def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float, tol: 
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
-def _count(diag: np.ndarray, off: np.ndarray, lower: float, upper: float) -> int:
-    """Number of eigenvalues in (lower, upper], by Sturm count.
-
-    A tolerance wider than the window marks it converged before any
-    bisection step, so the call costs a few LDL^T sweeps.
-    """
-    if upper <= lower:
-        return 0
-    return int(_bisect(diag, off, lower, upper, tol=2.0 * (upper - lower)).size)
-
-
-def _window(diag: np.ndarray, off: np.ndarray, lower: float, k: int, band: float,
-            known: list[tuple[float, int]]) -> float:
-    """Upper end of a window (lower, upper] that holds the k smallest eigenvalues
-    and, where counts can tell, no others.
-
-    Starts from the counts already known, (x, number of eigenvalues <= x)
-    pairs, and from `lower`, below the whole spectrum; widens by doubling
-    steps (the first 1/2, a fraction of the unit frequency; any start is
-    correct) until the window holds k; then bisects its top by counts until it
-    holds no more than k, or the candidates are closer than the band.  Each
-    extra eigenvalue would cost a full bisection, a count only a few sweeps.
-    """
-    below = max([lower] + [x for x, held in known if held < k])
-    enough = [(x, held) for x, held in known if held >= k]
-    if enough:
-        upper, held = min(enough)
-    else:
-        upper, held, step = below, 0, 0.5
-        while held < k:
-            below, upper, step = upper, upper + step, 2.0 * step
-            held = _count(diag, off, lower, upper)
-    while held > k and upper - below > band:
-        mid = 0.5 * (below + upper)
-        inside = _count(diag, off, lower, mid)
-        if inside >= k:
-            upper, held = mid, inside
-        else:
-            below = mid
-    return upper
-
-
 def _lower(op: SectorOperator) -> float:
     """min(V) less the band: below the spectrum, since the flux part A0 is positive
     semidefinite in the weighted inner product."""
     return (0.0 if op.potential is None else float(np.min(op.potential))) - _band(op)
 
 
-def _spectrum(op: SectorOperator, k: int = 0, windows: tuple[tuple[float, float], ...] = (),
-              vectors: bool = False):
-    """Sturm counts on `windows` and the k smallest eigenpairs of op: the one eigen path.
+class _Sturm:
+    """Sturm counts and bisections on one operator's symmetric tridiagonal: the one eigen path.
 
-    Returns (counts, vals, vecs): counts[i] is the number of eigenvalues in
-    windows[i] = (lo, hi], where lo = -inf stands for the bottom of the
-    spectrum; vals are the k smallest eigenvalues, ascending; vecs their
-    weighted-orthonormal eigenvectors, or None unless asked for.  Every
-    LAPACK call is a select="v" bisection on a window above `_lower`, and no
-    eigenvalue the caller does not read is bisected.  A full-line operator
-    whose branches decouple (a >= 1/2) has a centre link of exactly 0, where
-    LAPACK splits the matrix: its spectrum is the union of the two branches',
-    each eigenvector vanishing on the other branch.
+    Every LAPACK call is a select="v" bisection (`_bisect`) on a window above
+    `_lower`.  A count is such a call with a tolerance wider than its window,
+    which marks it converged before any bisection step, so it costs a few
+    LDL^T sweeps; a bisection (tol 0) resolves the eigenvalues in its window
+    to the band.  `known` keeps every count the caller took from the bottom
+    of the spectrum as an (x, number of eigenvalues <= x) pair, (lower, 0)
+    among them; `work` tallies the calls as "sturm_counts" and
+    "bisections", and may be shared by several operators' paths.  A
+    full-line operator whose branches decouple (a >= 1/2) has a centre link
+    of exactly 0, where LAPACK splits the matrix: its spectrum is the union
+    of the two branches', each eigenvector vanishing on the other branch.
     """
-    diag, off = op.sym_tridiagonal()
-    band, lower = _band(op), _lower(op)
-    counts = [_count(diag, off, max(lo, lower), hi) for lo, hi in windows]
-    known = [(hi, held) for (lo, hi), held in zip(windows, counts) if lo == -np.inf]
-    k = min(k, op.grid.n)
-    if k == 0:
-        return counts, np.empty(0), np.empty((op.grid.n, 0)) if vectors else None
-    out = _bisect(diag, off, lower, _window(diag, off, lower, k, band, known), tol=0.0,
-                  vectors=vectors)
-    vals = out[0] if vectors else out
-    if vals.size < k:                            # pragma: no cover - inconsistent counts
-        raise EigensolverError(f"bisection found {vals.size} of {k} eigenvalues in its window")
-    if not vectors:
-        return counts, vals[:k].copy(), None    # a view would keep LAPACK's length-n w alive
-    vals, vecs = vals[:k], out[1][:, :k] / np.sqrt(op.grid.volumes)[:, None]
-    norms = np.sqrt(np.sum(op.grid.volumes[:, None] * vecs ** 2, axis=0))
-    return counts, vals, vecs / norms
+
+    def __init__(self, op: SectorOperator, work: Counter | None = None):
+        self.grid = op.grid
+        self.diag, self.off = op.sym_tridiagonal()
+        self.band, self.lower = _band(op), _lower(op)
+        self.known = [(self.lower, 0)]
+        self.work = Counter() if work is None else work
+
+    def count(self, lo: float, hi: float) -> int:
+        """Number of eigenvalues in (lo, hi]; lo = -inf stands for the bottom of the
+        spectrum, and such a count joins `known`."""
+        lo = max(lo, self.lower)
+        held = self._count(lo, hi)
+        if lo == self.lower:
+            self.known.append((hi, held))
+        return held
+
+    def _count(self, lo: float, hi: float) -> int:
+        if hi <= lo:
+            return 0
+        self.work["sturm_counts"] += 1
+        return int(_bisect(self.diag, self.off, lo, hi, tol=2.0 * (hi - lo)).size)
+
+    def _window(self, k: int) -> float:
+        """Upper end of a window that holds the k smallest eigenvalues and, where
+        counts can tell, no others.
+
+        Starts from the known counts; widens by doubling steps (the first 1/2,
+        a fraction of the unit frequency; any start is correct) until the
+        window holds k; then bisects its top by counts until it holds no more
+        than k, or the candidates are closer than the band.  Each extra
+        eigenvalue would cost a full bisection, a count only a few sweeps.
+        """
+        below = max(x for x, held in self.known if held < k)
+        enough = [(x, held) for x, held in self.known if held >= k]
+        if enough:
+            upper, held = min(enough)
+        else:
+            upper, held, step = below, 0, 0.5
+            while held < k:
+                below, upper, step = upper, upper + step, 2.0 * step
+                held = self._count(self.lower, upper)
+        while held > k and upper - below > self.band:
+            mid = 0.5 * (below + upper)
+            inside = self._count(self.lower, mid)
+            if inside >= k:
+                upper, held = mid, inside
+            else:
+                below = mid
+        return upper
+
+    def values(self, k: int, first: int = 0, vectors: bool = False):
+        """Eigenvalues first+1..k of op, ascending, and their weighted-orthonormal
+        eigenvectors, or None unless asked for.
+
+        One bisection on (bottom, upper]: `upper` from `_window`, `bottom` the
+        highest point in `known` with at most `first` eigenvalues at or below
+        it, so the bisection covers the eigenvalues asked for and, where the
+        counts cannot pin them, the few below.  The window search's own
+        counts only place `upper`: `eigenpairs` and `eigenvalues`, which count
+        nothing first, bisect from `_lower`.  A bracket that returns fewer
+        eigenvalues than its counts say it holds raises EigensolverError.
+        """
+        k = min(k, self.grid.n)
+        if k <= first:
+            return np.empty(0), np.empty((self.grid.n, 0)) if vectors else None
+        upper = self._window(k)
+        bottom, held = max((x, held) for x, held in self.known if held <= first)
+        out = _bisect(self.diag, self.off, bottom, upper, tol=0.0, vectors=vectors)
+        self.work["bisections"] += 1
+        vals = out[0] if vectors else out
+        if vals.size < k - held:
+            raise EigensolverError(
+                f"bisection found {vals.size} eigenvalues on ({bottom:.6e}, {upper:.6e}], "
+                f"where counts put {k - held} of those asked for")
+        asked = slice(first - held, k - held)
+        if not vectors:
+            return vals[asked].copy(), None    # a view would keep LAPACK's length-n w alive
+        vecs = out[1][:, asked] / np.sqrt(self.grid.volumes)[:, None]
+        norms = np.sqrt(np.sum(self.grid.volumes[:, None] * vecs ** 2, axis=0))
+        return vals[asked], vecs / norms
 
 
 def eigenpairs(op: SectorOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs; eigenvectors are orthonormal in the weighted inner product."""
-    _, vals, vecs = _spectrum(op, k, vectors=True)
-    return vals, vecs
+    return _Sturm(op).values(k, vectors=True)
 
 
 def eigenvalues(op: SectorOperator, k: int) -> np.ndarray:
     """The k smallest eigenvalues alone: those of `eigenpairs`, without the vectors' cost."""
-    return _spectrum(op, k)[1]
+    return _Sturm(op).values(k)[0]
 
 
 def morse_index(op: SectorOperator, tol_zero: float) -> int:
     """Number of eigenvalues at or below -tol_zero, by Sturm count."""
-    return _spectrum(op, windows=((-np.inf, -tol_zero),))[0][0]
+    return _Sturm(op).count(-np.inf, -tol_zero)
 
 
 @dataclass
@@ -157,6 +180,8 @@ class SectorCounts:
     lowest_plus: float
     lowest_minus: float
     tol: float              # kernel band of the counts, also the accuracy of the eigenvalues
+    sturm_counts: int       # LAPACK counts made on the sector's L+ and L-
+    bisections: int         # LAPACK bisections made on the sector's L+ and L-
 
 
 @dataclass
@@ -167,7 +192,10 @@ class SpectralReport:
     n_minus: int
     kernel_dim_plus: int
     lmin_minus: float
-    minus_cosine: float          # weighted cosine of the lowest L- mode against phi
+    minus_cosine: float          # certified lower bound on the weighted cosine of the
+                                 # lowest L- mode against phi; 0.0 when uncertified
+    minus_residual: float        # |L- phi - rho phi|_w / |phi|_w, rho phi's Rayleigh quotient
+    minus_certified: bool        # one L- eigenvalue in (-tol, tol], none below, rho <= tol
     gap_minus: float
     slope: float
     slope_analytic: float
@@ -213,7 +241,7 @@ def slope_solve(params: ModelParams, profile: Profile) -> tuple[np.ndarray, floa
     """
     op = assemble_linearized(params, profile, sector=0, sign=+1)
     tol = max(_tol_zero(params, profile), _band(op))
-    _require_regular(_spectrum(op, windows=((-tol, tol),))[0][0], tol)
+    _require_regular(_Sturm(op).count(-tol, tol), tol)
     v = op.solve(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
@@ -246,6 +274,35 @@ def _last_sector(params: ModelParams, profile: Profile, counts: SectorCounts,
     return ell >= 1 and (counts.lowest_plus > counts.tol or floor > tol_zero)
 
 
+def _minus_mode(op: SectorOperator, sturm: _Sturm, phi: np.ndarray, tol: float, n_minus: int):
+    """The lowest sector-0 L- eigenvalue, the second, and phi's certificate for the first.
+
+    Returns (certified, lowest, second, residual, cosine).  phi's Rayleigh
+    quotient rho and residual eps = |L- phi - rho phi|_w / |phi|_w take one
+    `apply`.  The certificate holds when none of the eigenvalues lies at or
+    below -tol (n_minus = 0), a Sturm count puts exactly one, lambda_1, in
+    (-tol, tol], and rho <= tol.  Then the lowest is reported as rho and only
+    lambda_2 is bisected: Kato-Temple puts lambda_1 in
+    [rho - eps^2 / (lambda_2 - rho), rho], and Davis-Kahan bounds the angle
+    between phi and the mode by sin <= eps / (lambda_2 - rho), so
+    sqrt(1 - sin^2) is a lower bound on their cosine (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10-11).  Otherwise lambda_1 and lambda_2 are
+    both bisected and the cosine is 0.0.
+    """
+    grid = op.grid
+    l_phi = op.apply(phi)
+    norm_sq = weighted_inner(grid, phi, phi)
+    rho = weighted_inner(grid, l_phi, phi) / norm_sq
+    residual = weighted_norm(grid, l_phi - rho * phi) / np.sqrt(norm_sq)
+    certified = n_minus == 0 and sturm.count(-np.inf, tol) == 1 and rho <= tol
+    if not certified:
+        (lowest, second), _ = sturm.values(2)
+        return False, float(lowest), float(second), residual, 0.0
+    (second,), _ = sturm.values(2, first=1)
+    sine = residual / (second - rho)            # second > tol >= rho
+    return True, rho, float(second), residual, float(np.sqrt(max(0.0, 1.0 - sine ** 2)))
+
+
 def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     """Aggregate Morse indices over sectors, verify the L- structure, classify.
 
@@ -258,10 +315,15 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     Counts are Sturm counts, exact and uncapped, taken against the sector's
     kernel band max(tol_zero, 4 eps max|diag(L+)|); the eigenvalues reported
     (the lowest of L+ and L- in each sector, the second of L- in sector 0)
-    are bisected to within that band, and no others are computed.  A
-    sector-0 L+ eigenvalue inside its band raises SingularLPlusError: the
-    slope solve there would be ill-conditioned.  The sectors run l = 0, 1, ...
-    until `_last_sector`, so the counts are complete across sectors.
+    are bisected to within that band, and no others are computed.  Each
+    bisection starts at the highest counted point below the eigenvalues it
+    reports.  The lowest sector-0 L- eigenvalue is not bisected where phi
+    certifies it (`_minus_mode`): it is phi's Rayleigh quotient, and
+    `minus_cosine` is the Davis-Kahan lower bound on phi's cosine with its
+    mode.  A sector-0 L+ eigenvalue inside its band raises
+    SingularLPlusError: the slope solve there would be ill-conditioned.  The
+    sectors run l = 0, 1, ... until `_last_sector`, so the counts are
+    complete across sectors.
     """
     grid, phi = profile.grid, profile.values
     tol_zero = _tol_zero(params, profile)
@@ -270,25 +332,27 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
         # One operator at a time: L+ is released before L- is assembled.
         op = assemble_linearized(params, profile, sector, +1)
         tol = max(tol_zero, _band(op))
-        (n_plus, n_nonpositive), vals_p, _ = _spectrum(
-            op, 1, windows=((-np.inf, -tol), (-np.inf, tol)))
+        work = Counter()
+        plus = _Sturm(op, work)
+        n_plus, n_nonpositive = plus.count(-np.inf, -tol), plus.count(-np.inf, tol)
+        (lowest_plus,), _ = plus.values(1)
         if sector == 0:
             _require_regular(n_nonpositive - n_plus, tol)
             slope = grid.measure * weighted_inner(grid, op.solve(phi), phi)
-        del op
-        # Sector 0 also needs the L- mode of phi (its lowest) and the gap past it.
+        del op, plus
         op = assemble_linearized(params, profile, sector, -1)
-        (n_minus,), vals_m, vecs_m = _spectrum(op, 2 if sector == 0 else 1,
-                                               windows=((-np.inf, -tol),), vectors=sector == 0)
-        del op
+        minus = _Sturm(op, work)
+        n_minus = minus.count(-np.inf, -tol)
+        if sector == 0:
+            certified, lowest_minus, gap_0, residual, cosine = _minus_mode(
+                op, minus, phi, tol, n_minus)
+        else:
+            (lowest_minus,), _ = minus.values(1)
+        del op, minus
         sectors.append(SectorCounts(
             sector=sector, n_plus=n_plus, n_minus=n_minus, kernel_plus=n_nonpositive - n_plus,
-            lowest_plus=float(vals_p[0]), lowest_minus=float(vals_m[0]), tol=tol))
-        if sector == 0:
-            mode = vecs_m[:, 0]
-            cosine = abs(weighted_inner(grid, mode, phi)) / (
-                weighted_norm(grid, mode) * weighted_norm(grid, phi))
-            gap_0 = float(vals_m[1])
+            lowest_plus=float(lowest_plus), lowest_minus=float(lowest_minus), tol=tol,
+            sturm_counts=work["sturm_counts"], bisections=work["bisections"]))
         if _last_sector(params, profile, sectors[-1], tol_zero):
             break
 
@@ -299,6 +363,6 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     return SpectralReport(
         n_plus=n_plus, n_minus=sum(s.n_minus for s in sectors),
         kernel_dim_plus=sum(s.kernel_plus for s in sectors), lmin_minus=sectors[0].lowest_minus,
-        minus_cosine=float(cosine), gap_minus=gap_minus, slope=slope,
-        slope_analytic=analytic_slope(params, profile), k_ham=k_ham, verdict=verdict,
-        threshold=critical_power(params), sectors=sectors)
+        minus_cosine=cosine, minus_residual=residual, minus_certified=certified,
+        gap_minus=gap_minus, slope=slope, slope_analytic=analytic_slope(params, profile),
+        k_ham=k_ham, verdict=verdict, threshold=critical_power(params), sectors=sectors)

@@ -8,7 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import degenls as dl
 import degenls.spectral as spectral
-from degenls.exceptions import SingularLPlusError
+from degenls.exceptions import EigensolverError, SingularLPlusError
 from degenls.presets import sweep_grid
 from degenls.spectral import analytic_slope, slope_solve
 
@@ -320,6 +320,90 @@ def test_classification_bisects_only_by_value(anchor_wave, anchor_params, monkey
     report = dl.slope_and_classify(anchor_params, anchor_wave)
     assert report.verdict == "Stable"
     assert selects and set(selects) == {"v"}
+
+
+@pytest.mark.parametrize("point", ["anchor", "decoupled line", "d = 3"])
+def test_wave_certifies_its_minus_mode(point, anchor_wave, anchor_params, wave_cache):
+    # phi certifies the lowest L- eigenvalue: counts put one in (-tol, tol]
+    # and none below, lmin_minus is phi's Rayleigh quotient, and minus_cosine,
+    # a Davis-Kahan lower bound, does not exceed the cosine of phi with the
+    # bisected eigenvector
+    if point == "anchor":
+        params, wave = anchor_params, anchor_wave
+    elif point == "decoupled line":
+        params = dl.ModelParams(1, 0.75, 2.5, 1.0)
+        wave = dl.ground_state(params, sweep_grid(params, n=8192))
+    else:
+        params, wave = wave_cache(3, 0.0, 2.0, n=8192)
+    report = dl.slope_and_classify(params, wave)
+    g, phi = wave.grid, wave.values
+    minus = dl.assemble_linearized(params, wave, 0, -1)
+    l_phi = minus.apply(phi)
+    norm_sq = dl.weighted_inner(g, phi, phi)
+    rho = dl.weighted_inner(g, l_phi, phi) / norm_sq
+    assert report.minus_certified
+    assert report.lmin_minus == report.sectors[0].lowest_minus == rho
+    assert report.minus_residual == dl.weighted_norm(g, l_phi - rho * phi) / np.sqrt(norm_sq)
+    band = report.sectors[0].tol
+    assert report.lmin_minus == pytest.approx(dl.eigenvalues(minus, 1)[0], abs=band)
+    _, vecs = dl.eigenpairs(minus, 1)
+    cosine = abs(dl.weighted_inner(g, vecs[:, 0], phi)) / (
+        dl.weighted_norm(g, vecs[:, 0]) * dl.weighted_norm(g, phi))
+    assert 0.999 < report.minus_cosine <= cosine + 1e-12
+
+
+def test_non_wave_minus_mode_is_bisected():
+    # the wide-well profile is no wave: L- has negative eigenvalues, the
+    # certificate fails, the lowest is bisected and no cosine is claimed
+    grid = dl.build_grid(1, 20.0, 2048)
+    params = dl.ModelParams(1, 0.0, 3.0, 1.0)
+    profile = dl.Profile(grid=grid, values=6.0 * np.exp(-(grid.nodes / 6.0) ** 2), omega=1.0)
+    report = dl.slope_and_classify(params, profile)
+    assert not report.minus_certified
+    minus = dl.assemble_linearized(params, profile, 0, -1)
+    lowest = dl.eigenvalues(minus, 1)[0]
+    assert report.lmin_minus == pytest.approx(lowest, abs=report.sectors[0].tol)
+    assert report.minus_cosine == 0.0
+
+
+def test_classification_work_is_counted(anchor_wave, anchor_params, monkeypatch):
+    # no eigenvectors, one bisection per operator, each returning only the
+    # eigenvalue it reports; the per-sector tallies are the calls made
+    calls = []
+    original = spectral.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(original).bind(*args, **kwargs)
+        bound.apply_defaults()
+        out = original(*args, **kwargs)
+        calls.append((bound.arguments["eigvals_only"], bound.arguments["tol"], out.size))
+        return out
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
+    report = dl.slope_and_classify(anchor_params, anchor_wave)
+    assert all(only for only, _, _ in calls)
+    bisections = [size for _, tol, size in calls if tol == 0.0]
+    assert len(bisections) == 2 * len(report.sectors)
+    assert set(bisections) == {1}
+    assert sum(s.bisections for s in report.sectors) == len(bisections)
+    assert sum(s.sturm_counts for s in report.sectors) == len(calls) - len(bisections)
+
+
+def test_inconsistent_bisection_raises(anchor_wave, anchor_params, monkeypatch):
+    # a bisection that returns fewer eigenvalues than its bracket's counts
+    # hold is a solver failure, never a reported eigenvalue
+    original = spectral._bisect
+
+    def slipping(diag, off, lower, upper, tol, vectors=False):
+        out = original(diag, off, lower, upper, tol, vectors)
+        return out[:-1] if tol == 0.0 and not vectors else out
+
+    monkeypatch.setattr(spectral, "_bisect", slipping)
+    plus = dl.assemble_linearized(anchor_params, anchor_wave, 0, +1)
+    with pytest.raises(EigensolverError):
+        dl.eigenvalues(plus, 1)
+    with pytest.raises(EigensolverError):
+        dl.slope_and_classify(anchor_params, anchor_wave)
 
 
 def test_sector_band_reported(anchor_wave, anchor_params):
