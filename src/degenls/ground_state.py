@@ -8,8 +8,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
+from scipy.integrate import solve_ivp  # unused; bound here because perfbench traces it by name
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.optimize import brentq
 
 from . import functionals
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
@@ -57,20 +59,6 @@ def _defect(op: SectorOperator, u: np.ndarray, omega: float, nonlinear: np.ndarr
 def _defect_norm(op: SectorOperator, u: np.ndarray, omega: float, nonlinear: np.ndarray) -> float:
     """sqrt(measure) |_defect|_w: the defect's full-space norm."""
     return np.sqrt(op.measure) * weighted_norm(op.grid, _defect(op, u, omega, nonlinear))
-
-
-def weinstein_gradient(params: ModelParams, grid: RadialGrid | LineGrid,
-                       u: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the Weinstein quotient wrt the full-space L2 pairing.
-
-    dJ[u;h] = <grad, h> with <f,g> = |S^{d-1}| sum_i w_i f_i g_i.
-    """
-    p = params.p
-    op = assemble_operator(grid, params.a, sector=0)
-    norm_sq = functionals.h_norm_sq(op, u)
-    lam = functionals.lp_power_of(grid, u, p + 1.0)
-    den = lam ** (2.0 / (p + 1.0))
-    return (2.0 / den) * _defect(op, u, 1.0, (norm_sq / lam) * np.abs(u) ** (p - 1.0) * u)
 
 
 # Centre of the seed of the full-line flow.  An even seed stays even under the
@@ -372,13 +360,15 @@ def _shot_rhs(params: ModelParams):
 
 
 # The Dormand-Prince tableau of scipy's RK45, read once: C's nodes, A's lower
-# triangle, B's weights and E's error weights.  B[1] and E[1] are zero, and
+# triangle, B's weights, E's error weights and P, the weights of the quartic
+# dense output in each step's stages.  B[1] and E[1] are zero, and
 # `_rk45_step` leaves out their terms, which is exact for finite stages.
 _C1, _C2, _C3, _C4, _C5 = RK45.C[1:].tolist()
 ((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
  (_A50, _A51, _A52, _A53, _A54)) = (row[:s] for s, row in enumerate(RK45.A.tolist()) if s)
 _B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
 _E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
+_P = np.array(RK45.P)
 _ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -446,81 +436,9 @@ def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
         rejected = True
 
 
-class _ShotRK45(RK45):
-    """scipy's RK45 for the two-component shot system, its step taken by `_rk45_step`.
-
-    `_step_impl` is a thin wrapper: it hands the state to `_rk45_step` and
-    stores y, y_old, f, h_abs and the stages as RK45 does, the stages as
-    tuples; RK45's stage array K is built from them only when a dense output
-    asks for it, so RK45's dense output and `solve_ivp`'s events work
-    unchanged.  A solver made here also gives `_classify_shot` scipy's
-    initial step and f, after which that loop calls `_rk45_step` itself.
-    The right-hand side is called unwrapped with a tuple (phi, F) and must
-    return two floats.
-    """
-
-    def __init__(self, fun, *args, **kwargs):
-        super().__init__(fun, *args, **kwargs)
-        self._rhs = fun
-        atol = np.broadcast_to(self.atol, 2).tolist()
-        self._tolerances = float(self.rtol), atol[0], atol[1]
-        self._direction = float(self.direction)
-
-    def _step_impl(self):
-        y0, y1 = self.y.tolist()
-        f0, f1 = self.f.tolist()
-        step = _rk45_step(self._rhs, self.t, y0, y1, f0, f1, float(self.h_abs), self.t_bound,
-                          self._direction, self.max_step, *self._tolerances)
-        if step is None:
-            return False, self.TOO_SMALL_STEP
-        t_new, n0, n1, self.h_abs, k0, k1, attempts = step
-        self.nfev += self.n_stages * attempts
-        self._k = k0, k1
-        self.h_previous = t_new - self.t
-        self.y_old = self.y
-        self.t = t_new
-        self.y = np.array((n0, n1))
-        self.f = np.array((k0[-1], k1[-1]))
-        return True, None
-
-    def _dense_output_impl(self):
-        self.K = np.array(self._k).T
-        return super()._dense_output_impl()
-
-
 def _shot_tolerances(beta: float) -> dict:
-    """The RK45 tolerances of every shot at central value beta, stepped or dense."""
+    """The RK45 tolerances of every shot at central value beta, classified or recorded."""
     return {"rtol": 1e-10, "atol": [1e-14 * beta, 1e-14 * beta]}
-
-
-def _integrate_shot(params: ModelParams, beta: float, r0: float, r_end: float):
-    """Integrate the flux system outward; returns (classification, solution).
-
-    `solve_ivp` steps `_ShotRK45` with dense output and the two terminal
-    events.  classification: 'over' (phi crossed zero), 'under' (flux turned
-    positive, i.e. phi started growing again), 'done' (reached r_end with phi
-    tiny).
-    """
-    def ev_cross(rho, y):
-        return y[0]
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
-
-    def ev_turn(rho, y):
-        return y[1]
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
-
-    y0 = _series_start(params, beta, r0)
-    sol = solve_ivp(_shot_rhs(params), (r0, r_end), y0, method=_ShotRK45, dense_output=True,
-                    events=[ev_cross, ev_turn], **_shot_tolerances(beta))
-    if sol.status == -1:
-        raise StiffnessFailureError(f"integrator failed near the origin: {sol.message}")
-    if sol.t_events[0].size:
-        return "over", sol
-    if sol.t_events[1].size:
-        return "under", sol
-    return _end_kind(sol.y[0, -1], beta), sol
 
 
 def _end_kind(phi_end: float, beta: float) -> str:
@@ -528,24 +446,54 @@ def _end_kind(phi_end: float, beta: float) -> str:
     return "done" if phi_end < 1e-6 * beta else "under"
 
 
-def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
-                   steps: list[int] | None = None) -> str:
-    """The classification of `_integrate_shot`, from its steps alone.
+def _interpolant(path: list[tuple], component: int = 0):
+    """RK45's dense output of one component along recorded steps, as a function of rho.
 
-    Builds one `_ShotRK45` with the `_shot_tolerances` and float end points
-    that solve_ivp gives it there, for scipy's initial step and f, then calls
-    `_rk45_step` on floats, so the accepted steps are the same without
-    `OdeSolver.step` or an array per step.  The sign tests of the two
-    terminal events are applied on each step: phi falling to <= 0 from >= 0
-    is 'over', F rising to >= 0 from <= 0 is 'under'.  No event roots,
-    dense output or stored steps are made.  Only the root times can order
-    two events on one step, so such a beta goes through `_integrate_shot`.
-    The shot's accepted steps are appended to `steps` when given.
+    On the step (t, t_new, phi, F, k0, k1) it is y + h x (q0 + x (q1 + x (q2 +
+    x q3))), with h = t_new - t, x = (rho - t) / h, y the component's value at
+    t and q its stages times `_P`.  A point takes the step it lies in, the
+    earlier one at a step's end, as scipy's OdeSolution does.
     """
-    y0 = _series_start(params, beta, r0)
-    solver = _ShotRK45(_shot_rhs(params), float(r0), y0, float(r_end), **_shot_tolerances(beta))
-    rhs, t, t_bound, direction = solver._rhs, solver.t, solver.t_bound, solver._direction
-    max_step, (rtol, atol0, atol1) = solver.max_step, solver._tolerances
+    t, t_new, phi, flux, k0, k1 = (np.array(column) for column in zip(*path))
+    h = t_new - t
+    y = (phi, flux)[component]
+    q = (k0, k1)[component] @ _P
+
+    def value(rho):
+        i = np.clip(np.searchsorted(t, rho) - 1, 0, t.size - 1)
+        x = (rho - t[i]) / h[i]
+        c = q[i].T
+        return y[i] + h[i] * x * (c[0] + x * (c[1] + x * (c[2] + x * c[3])))
+    return value
+
+
+def _event_root(step: tuple, component: int) -> float:
+    """The root of one component of a recorded step's interpolant, as solve_ivp finds events."""
+    eps = np.finfo(float).eps
+    return brentq(_interpolant([step], component), step[0], step[1], xtol=4.0 * eps,
+                  rtol=4.0 * eps)
+
+
+def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
+                   steps: list[int] | None = None, path: list[tuple] | None = None) -> str:
+    """Integrate the flux system outward from central value beta and classify the shot.
+
+    One plain RK45 with the `_shot_tolerances` and float end points gives
+    scipy's initial step and f; every step is then `_rk45_step` on floats.
+    Each step applies the sign tests of the two terminal events: phi falling
+    to <= 0 from >= 0 is 'over', F rising to >= 0 from <= 0 is 'under'; a
+    shot that reaches r_end with neither is classified by `_end_kind`.  A step
+    on which both flip takes the event whose root on the step's interpolant
+    comes first.  The shot's accepted steps are appended to `steps` when
+    given, and each accepted step's (t, t_new, phi, F, k0, k1) to `path`:
+    its ends, its start values and the seven stages of each component.
+    """
+    rhs = _shot_rhs(params)
+    solver = RK45(rhs, float(r0), _series_start(params, beta, r0), float(r_end),
+                  **_shot_tolerances(beta))
+    t, t_bound, max_step = solver.t, solver.t_bound, solver.max_step
+    direction, rtol = float(solver.direction), float(solver.rtol)
+    atol0, atol1 = np.broadcast_to(solver.atol, 2).tolist()
     phi, flux = solver.y.tolist()
     f0, f1 = solver.f.tolist()
     h_abs = float(solver.h_abs)
@@ -554,21 +502,23 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
                           rtol, atol0, atol1)
         if step is None:
             raise StiffnessFailureError(
-                f"integrator failed near the origin: {_ShotRK45.TOO_SMALL_STEP}")
-        t, phi_new, flux_new, h_abs, k0, k1, _ = step
+                f"integrator failed at rho = {t!r} for beta = {beta!r}: its step fell below"
+                " 10 ulp of rho")
+        t_new, phi_new, flux_new, h_abs, k0, k1, _ = step
+        recorded = (t, t_new, phi, flux, k0, k1)
+        if path is not None:
+            path.append(recorded)
         over = phi >= 0.0 and phi_new <= 0.0
         under = flux <= 0.0 and flux_new >= 0.0
         if over and under:
-            kind, sol = _integrate_shot(params, beta, r0, r_end)
-            taken += sol.t.size - 1
-            break
+            over = _event_root(recorded, 0) <= _event_root(recorded, 1)
         if over or under:
             kind = "over" if over else "under"
             break
-        if direction * (t - t_bound) >= 0:
+        if direction * (t_new - t_bound) >= 0:
             kind = _end_kind(phi_new, beta)
             break
-        phi, flux, f0, f1 = phi_new, flux_new, k0[6], k1[6]
+        t, phi, flux, f0, f1 = t_new, phi_new, flux_new, k0[6], k1[6]
     if steps is not None:
         steps.append(taken)
     return kind
@@ -584,17 +534,18 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     shot that reaches r_max without either is 'done' when phi < 1e-6 beta
     there and an undershoot otherwise (`_end_kind`); bisection stops at the
     first 'done' shot, when the bracket closes to rounding, or after
-    max_bisect shots.  The returned samples follow the integrated trajectory
-    down to the graft point, the lowest positive sample of its dense output,
-    and continue with the stretched-exponential tail
-    exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
-    must be too.  A given beta_bracket, in either order, needs finite ends
-    above the constant solution omega^{1/(p-1)}; it is checked before any
-    shot.  Bracket and bisection shots are only classified; the chosen
-    beta is integrated once more with dense output and sampled.  One INFO
-    line on this module's logger gives the shots, their accepted steps, the
-    final bracket width relative to beta and the stop reason: 'hit' (a
-    'done' shot), 'bracket closed' or 'max_bisect'.
+    max_bisect shots.  Every shot is `_classify_shot`: RK45 stepped on
+    floats.  Bracket and bisection shots are only classified; the chosen beta
+    is shot once more with its steps recorded, and the returned samples
+    follow RK45's dense output on those steps down to the graft point, the
+    lowest positive sample of that output, and continue with the
+    stretched-exponential tail exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The
+    ODE is radial, so the grid must be too.  A given beta_bracket, in either
+    order, needs finite ends above the constant solution omega^{1/(p-1)}; it
+    is checked before any shot.  One INFO line on this module's logger gives
+    the shots, their accepted steps, the final bracket width relative to beta
+    and the stop reason: 'hit' (a 'done' shot), 'bracket closed' or
+    'max_bisect'.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
@@ -648,25 +599,23 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             stop = "bracket closed"
             break
 
-    final, sol = _integrate_shot(params, beta, r0, r_end)
-    if final != kind:
-        raise StiffnessFailureError(
-            f"beta = {beta!r} classifies as '{kind}' by its steps but as '{final}' by its"
-            " dense integration")
+    path: list[tuple] = []
+    _classify_shot(params, beta, r0, r_end, path=path)
     log.info("shooting at %s: %d shots (%d classified, 1 dense), %d accepted steps,"
              " final bracket %.1e of beta, stop: %s", params, len(steps) + 1, len(steps),
-             sum(steps) + sol.t.size - 1, abs(hi - lo) / beta, stop)
-    values = _sample_shot(params, grid, sol)
+             sum(steps) + len(path), abs(hi - lo) / beta, stop)
+    values = _sample_shot(params, grid, path)
     return Profile(grid=grid, values=values, omega=omega,
                    residual=el_residual(params, grid, values), phi0=beta)
 
 
-def _sample_shot(params: ModelParams, grid: RadialGrid, sol) -> np.ndarray:
-    """Sample the trajectory at the nodes: dense output / tail graft."""
+def _sample_shot(params: ModelParams, grid: RadialGrid, path: list[tuple]) -> np.ndarray:
+    """Sample a recorded shot at the nodes: its dense output, then the tail graft."""
     a, omega = params.a, params.omega
+    phi = _interpolant(path)
     # Graft where the trajectory last sits at its minimum positive level.
-    t_fine = np.linspace(sol.t[0], sol.t[-1], 4096)
-    phi_fine = sol.sol(t_fine)[0]
+    t_fine = np.linspace(path[0][0], path[-1][1], 4096)
+    phi_fine = phi(t_fine)
     positive = phi_fine > 0
     idx = np.argmin(np.where(positive, phi_fine, np.inf))
     rho_graft = t_fine[idx]
@@ -677,7 +626,7 @@ def _sample_shot(params: ModelParams, grid: RadialGrid, sol) -> np.ndarray:
     dense = nodes <= rho_graft
     tail = ~dense
     if dense.any():
-        values[dense] = sol.sol(nodes[dense])[0]
+        values[dense] = phi(nodes[dense])
     rate = np.sqrt(omega) / (1.0 - a)
     values[tail] = phi_graft * np.exp(-rate * (nodes[tail] ** (1.0 - a) - rho_graft ** (1.0 - a)))
     return values

@@ -1,15 +1,16 @@
+import bisect
 import importlib
 import logging
 import re
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, OdeSolver
+from scipy.integrate import RK45, OdeSolver, solve_ivp
 
 import degenls as dl
 from degenls.exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
                                 NonConvergenceError, StiffnessFailureError)
-from degenls.ground_state import el_residual, weinstein_gradient
+from degenls.ground_state import el_residual
 from degenls.presets import default_r_max, line_grading, sweep_grid
 from tests.conftest import SQRT2, sech_values
 
@@ -65,26 +66,6 @@ def test_el_residual_below_tolerance(anchor_wave, anchor_params):
     res = el_residual(anchor_params, anchor_wave.grid, anchor_wave.values)
     assert res < 1e-7
     assert anchor_wave.residual == pytest.approx(res, rel=1e-6)
-
-
-def test_gradient_matches_finite_differences(anchor_report, anchor_params):
-    rng = np.random.default_rng(5)
-    grid = anchor_report.grid
-    u = anchor_report.phi_normalized + 0.05 * np.exp(-grid.nodes ** 2)  # off the minimum
-    grad = weinstein_gradient(anchor_params, grid, u)
-    sa = dl.sphere_area(grid.d)
-
-    def j(v):
-        return dl.functionals.weinstein_quotient(anchor_params, grid, v)
-
-    for _ in range(20):
-        h = rng.standard_normal(grid.n) * np.exp(-0.5 * grid.nodes)
-        nh = dl.weighted_norm(grid, h)
-        eps = 1e-7 / nh
-        fd = (j(u + eps * h) - j(u - eps * h)) / (2.0 * eps)
-        an = sa * dl.weighted_inner(grid, grad, h)
-        scale = sa * dl.weighted_norm(grid, grad) * nh
-        assert abs(an - fd) < 1e-6 * scale
 
 
 def test_kappa_rescale_consistency(anchor_report, anchor_params):
@@ -156,52 +137,50 @@ def test_shoot_rejects_max_bisect_below_one(anchor_params, anchor_grid, max_bise
         dl.shoot_profile(anchor_params, anchor_grid, max_bisect=max_bisect)
 
 
-@pytest.mark.parametrize("d, a, p, r_max, n", [(1, 0.0, 3.0, 20.0, 4096),
-                                               (2, 0.25, 3.0, 12.0, 1024)])
-def test_shot_classifier_matches_event_integration(d, a, p, r_max, n):
-    # stepping RK45 and testing signs gives the verdict of solve_ivp's
-    # terminal events, near beta* (where 'done' and close calls live), far
-    # from it, below the constant solution and at the bracket search's ends
-    params = dl.ModelParams(d, a, p, 1.0)
-    grid = dl.build_grid(d, r_max, n, 1.0 if a == 0 else 1.5)
-    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
-    beta_star = dl.shoot_profile(params, grid).phi0
-    betas = [beta_star * (1.0 + s * 2.0 ** -k) for k in (1, 3, 8, 17, 30, 40, 45)
-             for s in (-1.0, 1.0)]
-    betas += [1.0 + 1e-6, 2.0, 4.0]       # beta_fixed = 1 at omega = 1
-    kinds = []
-    for beta in betas:
-        kind = gs._classify_shot(params, beta, r0, r_end)
-        assert kind == gs._integrate_shot(params, beta, r0, r_end)[0], beta
-        kinds.append(kind)
-    assert {"over", "under"} <= set(kinds)
+def _scipy_shot(params, beta, r0, r_end):
+    """The shot by scipy's own RK45 through solve_ivp, with the two terminal events."""
+    def cross(rho, y):
+        return y[0]
+    cross.terminal, cross.direction = True, -1.0
+
+    def turn(rho, y):
+        return y[1]
+    turn.terminal, turn.direction = True, 1.0
+
+    sol = solve_ivp(gs._shot_rhs(params), (r0, r_end), gs._series_start(params, beta, r0),
+                    method="RK45", dense_output=True, events=[cross, turn],
+                    **gs._shot_tolerances(beta))
+    assert sol.status != -1, sol.message
+    if sol.t_events[0].size:
+        return "over", sol
+    if sol.t_events[1].size:
+        return "under", sol
+    return gs._end_kind(sol.y[0, -1], beta), sol
 
 
-def _classifier_betas(beta_star):
-    """Central values near beta*, far from it, below beta_fixed = 1 and at the search's ends."""
-    betas = [beta_star * (1.0 + s * 2.0 ** -k) for k in (1, 3, 8, 17, 30, 40, 45)
-             for s in (-1.0, 1.0)]
-    return betas + [1.0 + 1e-6, 2.0, 4.0]
+def _float_steps(fun, t0, y0, t_bound, **options):
+    """`_rk45_step` from the state a scipy RK45 made with these arguments starts in.
 
-
-@pytest.mark.parametrize("d, a, p, r_max, n", [(1, 0.0, 3.0, 20.0, 4096),
-                                               (2, 0.25, 3.0, 12.0, 1024)])
-def test_classified_shot_takes_the_dense_shots_steps(d, a, p, r_max, n):
-    # the float steps of a classified shot are the accepted steps solve_ivp
-    # takes with _ShotRK45, up to the step of its terminal event
-    params = dl.ModelParams(d, a, p, 1.0)
-    grid = dl.build_grid(d, r_max, n, 1.0 if a == 0 else 1.5)
-    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
-    for beta in _classifier_betas(dl.shoot_profile(params, grid).phi0):
-        steps = []
-        gs._classify_shot(params, beta, r0, r_end, steps)
-        _, sol = gs._integrate_shot(params, beta, r0, r_end)
-        assert steps == [sol.t.size - 1], beta
+    Yields (t, h_abs, y, attempts) after each accepted step; stops at t_bound
+    or when a step fails.
+    """
+    solver = RK45(fun, t0, y0, t_bound, **options)
+    t, (u, v), (f0, f1) = solver.t, solver.y.tolist(), solver.f.tolist()
+    h_abs = float(solver.h_abs)
+    atol0, atol1 = np.broadcast_to(solver.atol, 2).tolist()
+    while t != t_bound:
+        step = gs._rk45_step(fun, t, u, v, f0, f1, h_abs, t_bound, float(solver.direction),
+                             solver.max_step, float(solver.rtol), atol0, atol1)
+        if step is None:
+            return
+        t, u, v, h_abs, k0, k1, attempts = step
+        f0, f1 = k0[6], k1[6]
+        yield t, h_abs, (u, v), attempts
 
 
 def test_classified_shot_never_calls_ode_solver_step(anchor_params, anchor_grid, monkeypatch):
-    # after RK45's initial step and f, a classified shot steps on floats: no
-    # OdeSolver.step call, while a dense shot goes through it
+    # after RK45's initial step and f, every shot steps on floats, the recorded
+    # one included: no OdeSolver.step call and no solve_ivp call
     calls = []
     original = OdeSolver.step
 
@@ -210,17 +189,19 @@ def test_classified_shot_never_calls_ode_solver_step(anchor_params, anchor_grid,
         return original(self)
 
     monkeypatch.setattr(OdeSolver, "step", spy)
+    monkeypatch.setattr(gs, "solve_ivp", lambda *args, **kwargs: calls.append(args))
     r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
     for beta, kind in ((1.01 * SQRT2, "over"), (0.99 * SQRT2, "under")):
         assert gs._classify_shot(anchor_params, beta, r0, r_end) == kind
+        assert gs._classify_shot(anchor_params, beta, r0, r_end, path=[]) == kind
+    dl.shoot_profile(anchor_params, anchor_grid)
     assert calls == []
-    gs._integrate_shot(anchor_params, 1.01 * SQRT2, r0, r_end)
-    assert calls
 
 
 def test_float_step_reads_scipys_tableau():
     # the unrolled stage sums use scipy's RK45 entries, and leave out B[1] and
-    # E[1], which must be its only zero weights; A is strictly lower triangular
+    # E[1], which must be its only zero weights; A is strictly lower triangular;
+    # the dense output is scipy's quartic P
     names = {f"_C{i}": RK45.C[i] for i in range(1, 6)}
     names.update({f"_A{i}{j}": RK45.A[i, j] for i in range(1, 6) for j in range(i)})
     names.update({f"_B{i}": RK45.B[i] for i in range(6)})
@@ -229,32 +210,39 @@ def test_float_step_reads_scipys_tableau():
     assert sorted(name for name, value in names.items() if value == 0.0) == ["_B1", "_E1"]
     assert (len(RK45.A), RK45.C.size, RK45.B.size, RK45.E.size) == (6, 6, 6, 7)
     assert RK45.C[0] == 0.0 and not np.triu(RK45.A).any()
+    assert gs._P.shape == (7, 4) and np.array_equal(gs._P, RK45.P)
 
 
 def test_shoot_profile_integrates_densely_once(anchor_params, anchor_grid, monkeypatch):
-    # the bracket and bisection shots are only classified: one solve_ivp
-    # call, with dense output, for the chosen beta
-    calls = []
-    original = gs.solve_ivp
+    # the bracket and bisection shots are only classified: one shot, of the
+    # chosen beta, records its steps
+    recorded = []
+    original = gs._classify_shot
 
-    def spy(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        calls.append((kwargs, sol))
-        return sol
+    def spy(*args, path=None, **kwargs):
+        kind = original(*args, path=path, **kwargs)
+        if path is not None:
+            recorded.append((args[1], path))
+        return kind
 
-    monkeypatch.setattr(gs, "solve_ivp", spy)
+    monkeypatch.setattr(gs, "_classify_shot", spy)
     shot = dl.shoot_profile(anchor_params, anchor_grid)
-    assert len(calls) == 1
-    kwargs, sol = calls[0]
-    assert kwargs["dense_output"] is True
-    # the one vectorized sample equals the per-node scalar evaluation
-    t_fine = np.linspace(sol.t[0], sol.t[-1], 4096)
-    phi_fine = sol.sol(t_fine)[0]
+    assert len(recorded) == 1 and recorded[0][0] == shot.phi0
+    path = recorded[0][1]
+    # the one vectorized sample equals scipy's dense-output formula, node by
+    # node: y + h Q [x, x^2, x^3, x^4] with Q = K^T P on the step holding rho
+    t_fine = np.linspace(path[0][0], path[-1][1], 4096)
+    phi_fine = gs._interpolant(path)(t_fine)
     rho_graft = t_fine[np.argmin(np.where(phi_fine > 0, phi_fine, np.inf))]
     nodes = anchor_grid.nodes
     dense = nodes <= rho_graft
     assert dense.sum() > anchor_grid.n // 2
-    scalar = np.array([sol.sol(rho)[0] for rho in nodes[dense]])
+    starts = [step[0] for step in path]
+    scalar = []
+    for rho in nodes[dense]:
+        t, t_new, phi, _, k0, _ = path[max(bisect.bisect_left(starts, rho) - 1, 0)]
+        h = t_new - t
+        scalar.append(phi + h * np.dot(np.array(k0) @ RK45.P, np.cumprod([(rho - t) / h] * 4)))
     scale = np.max(np.abs(shot.values))
     assert np.max(np.abs(shot.values[dense] - scalar)) <= 1e-15 * scale
 
@@ -262,34 +250,33 @@ def test_shoot_profile_integrates_densely_once(anchor_params, anchor_grid, monke
 @pytest.mark.parametrize("d, a, p, grid_args", [
     (1, 0.0, 3.0, (20.0, 4096, 1.0)), (2, 0.25, 3.0, (12.0, 1024, 1.5)),
     (3, 0.0, 2.0, (27.6, 16384, 1.0)), (1, 0.5, 2.5, (60.0, 8192, 1.5))])
-def test_float_shot_matches_scipy_rk45(d, a, p, grid_args, monkeypatch):
-    # the float step is scipy's RK45 step: the same class, the same steps to
-    # within 1 % and the same dense trajectory to 1e-12 beta, near beta* and away
+def test_float_shot_matches_scipy_rk45(d, a, p, grid_args):
+    # the float shot is scipy's RK45 shot with solve_ivp's terminal events:
+    # the same class, the same steps to within 1 % and the same dense
+    # trajectory to 1e-12 beta, near beta* (where 'done' and close calls
+    # live), far from it, below the constant solution and at the bracket
+    # search's ends
     params = dl.ModelParams(d, a, p, 1.0)
     grid = dl.build_grid(d, *grid_args)
     r0, r_end = 0.5 * grid.nodes[0], grid.r_max
     beta_star = dl.shoot_profile(params, grid).phi0
-    original = gs.solve_ivp
-    replaced = []
-
-    def with_scipy_rk45(*args, **kwargs):
-        replaced.append(kwargs["method"])
-        return original(*args, **{**kwargs, "method": "RK45"})
-
-    for beta in (beta_star, beta_star * (1.0 - 2.0 ** -30), beta_star * (1.0 + 2.0 ** -30),
-                 beta_star * (1.0 + 2.0 ** -8), 2.0 * beta_star):
-        kind, sol = gs._integrate_shot(params, beta, r0, r_end)
-        with monkeypatch.context() as patch:
-            patch.setattr(gs, "solve_ivp", with_scipy_rk45)
-            kind_ref, ref = gs._integrate_shot(params, beta, r0, r_end)
-        assert replaced.pop() is gs._ShotRK45
+    betas = [beta_star * (1.0 + s * 2.0 ** -k) for k in (1, 3, 8, 17, 30, 40, 45)
+             for s in (-1.0, 1.0)]
+    betas += [beta_star, 2.0 * beta_star, 1.0 + 1e-6, 2.0, 4.0]    # beta_fixed = 1
+    kinds = []
+    for beta in betas:
+        path = []
+        kind = gs._classify_shot(params, beta, r0, r_end, path=path)
+        kind_ref, ref = _scipy_shot(params, beta, r0, r_end)
         assert kind == kind_ref, beta
-        assert abs(sol.t.size - ref.t.size) <= 0.01 * (ref.t.size - 1), beta
-        rho = np.linspace(r0, min(sol.t[-1], ref.t[-1]), 4096)
+        assert abs(len(path) - (ref.t.size - 1)) <= 0.01 * (ref.t.size - 1), beta
+        rho = np.linspace(r0, min(path[-1][1], ref.t[-1]), 4096)
         phi_ref = ref.sol(rho)[0]
         near = phi_ref > 1e-3 * beta
         assert near.any()
-        assert np.max(np.abs(sol.sol(rho)[0] - phi_ref)[near]) <= 1e-12 * beta, beta
+        assert np.max(np.abs(gs._interpolant(path)(rho) - phi_ref)[near]) <= 1e-12 * beta, beta
+        kinds.append(kind)
+    assert {"over", "under"} <= set(kinds)
 
 
 def test_float_step_matches_scipy_step_by_step(anchor_params, anchor_grid):
@@ -297,17 +284,17 @@ def test_float_step_matches_scipy_step_by_step(anchor_params, anchor_grid):
     # lands where scipy's does, to the rounding of the error estimate
     # (measured: 1e-7 of h, 3e-8 of t)
     r0, r_end = float(0.5 * anchor_grid.nodes[0]), float(anchor_grid.r_max)
-    y0 = gs._series_start(anchor_params, SQRT2, r0)
+    args = (gs._shot_rhs(anchor_params), r0, gs._series_start(anchor_params, SQRT2, r0), r_end)
     options = dict(first_step=r_end - r0, **gs._shot_tolerances(SQRT2))
-    ours = gs._ShotRK45(gs._shot_rhs(anchor_params), r0, y0, r_end, **options)
-    ref = RK45(gs._shot_rhs(anchor_params), r0, y0, r_end, **options)
-    for _ in range(50):
-        ours.step()
+    ref = RK45(*args, **options)
+    nfev = ref.nfev
+    for _, (t, h_abs, y, attempts) in zip(range(50), _float_steps(*args, **options)):
         ref.step()
-        assert ours.t == pytest.approx(ref.t, rel=1e-6)
-        assert ours.h_abs == pytest.approx(ref.h_abs, rel=1e-5)
-        np.testing.assert_allclose(ours.y, ref.y, rtol=1e-6)
-    assert ours.nfev == ref.nfev
+        nfev += ref.n_stages * attempts
+        assert t == pytest.approx(ref.t, rel=1e-6)
+        assert h_abs == pytest.approx(ref.h_abs, rel=1e-5)
+        np.testing.assert_allclose(y, ref.y, rtol=1e-6)
+    assert nfev == ref.nfev
 
 
 def test_float_step_grows_only_after_an_accepted_step():
@@ -317,40 +304,20 @@ def test_float_step_grows_only_after_an_accepted_step():
     def jump(rho, y):
         return (0.0 if rho < 1.0 else 1.0), 0.0
 
-    for method in (RK45, gs._ShotRK45):
-        solver = method(jump, 0.5, [1.0, 0.0], 3.0, first_step=1.0, rtol=1e-10,
-                        atol=[1e-14, 1e-14])
-        solver.step()
-        assert (solver.t, solver.h_abs) == pytest.approx((0.7, 0.2)), method
-        solver.step()
-        assert (solver.t, solver.h_abs) == pytest.approx((0.9, 2.0)), method
-
-
-def test_classified_shot_builds_no_stage_array(anchor_params, anchor_grid, monkeypatch):
-    # K feeds RK45's dense output only: a classified shot's steps leave the
-    # array RK45.__init__ made in place, and a dense shot builds it
-    solvers = []
-
-    class Recording(gs._ShotRK45):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.initial_k = self.K
-            solvers.append(self)
-
-    monkeypatch.setattr(gs, "_ShotRK45", Recording)
-    r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
-    steps = []
-    assert gs._classify_shot(anchor_params, 1.01 * SQRT2, r0, r_end, steps=steps) == "over"
-    assert len(solvers) == 1 and steps[0] > 10
-    assert solvers[0].K is solvers[0].initial_k
-    kind, sol = gs._integrate_shot(anchor_params, 1.01 * SQRT2, r0, r_end)
-    assert kind == "over" and sol.t.size == steps[0] + 1
-    assert len(solvers) == 2 and solvers[1].K is not solvers[1].initial_k
+    args, options = (jump, 0.5, [1.0, 0.0], 3.0), dict(first_step=1.0, rtol=1e-10,
+                                                        atol=[1e-14, 1e-14])
+    ref = RK45(*args, **options)
+    ours = _float_steps(*args, **options)
+    for expected in ((0.7, 0.2), (0.9, 2.0)):
+        ref.step()
+        assert (ref.t, ref.h_abs) == pytest.approx(expected)
+        assert next(ours)[:2] == pytest.approx(expected)
 
 
 def test_shot_stepper_failure_is_an_error(anchor_params, anchor_grid, monkeypatch):
     # phi' = 1/(rho - pole)^2 drives the step to 10 ulp before rho reaches the
-    # pole: TOO_SMALL_STEP, and every shot path raises instead of classifying
+    # pole: `_rk45_step` returns None there, and a shot raises, naming the rho
+    # it reached and its beta
     pole = 5.0
 
     def poled_rhs(params):
@@ -359,19 +326,43 @@ def test_shot_stepper_failure_is_an_error(anchor_params, anchor_grid, monkeypatc
         return rhs
 
     r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
-    solver = gs._ShotRK45(poled_rhs(anchor_params), float(r0), [1.5, 0.0], float(r_end),
-                          **gs._shot_tolerances(1.5))
-    while solver.status == "running":
-        message = solver.step()
-    assert solver.status == "failed" and message == gs._ShotRK45.TOO_SMALL_STEP
-    assert solver.t < pole and pole - solver.t < 1e-6
+    steps = list(_float_steps(poled_rhs(anchor_params), float(r0), [1.5, 0.0], float(r_end),
+                              **gs._shot_tolerances(1.5)))
+    t = steps[-1][0]
+    assert t < pole and pole - t < 1e-6
     monkeypatch.setattr(gs, "_shot_rhs", poled_rhs)
-    with pytest.raises(StiffnessFailureError):
+    with pytest.raises(StiffnessFailureError) as err:
         gs._classify_shot(anchor_params, 1.5, r0, r_end)
-    with pytest.raises(StiffnessFailureError):
-        gs._integrate_shot(anchor_params, 1.5, r0, r_end)
+    where = re.search(r"at rho = (\S+) for beta = 1\.5:", str(err.value))
+    assert where is not None
+    assert float(where.group(1)) < pole and pole - float(where.group(1)) < 1e-6
     with pytest.raises(StiffnessFailureError):
         dl.shoot_profile(anchor_params, anchor_grid)
+
+
+@pytest.mark.parametrize("rho_phi, rho_flux, kind", [(2.0, 2.5, "over"), (2.5, 2.0, "under")])
+def test_double_sign_flip_takes_the_earlier_root(anchor_params, anchor_grid, monkeypatch,
+                                                 rho_phi, rho_flux, kind):
+    # phi and F linear, phi reaching 0 at rho_phi and F at rho_flux: both
+    # change sign on one step, and the kind follows the root of that step's
+    # interpolant that comes first, as scipy's solve_ivp orders its events
+    r0, r_end = 0.5 * anchor_grid.nodes[0], anchor_grid.r_max
+    phi0, flux0 = gs._series_start(anchor_params, SQRT2, r0)
+    assert phi0 > 0.0 > flux0
+
+    def linear_rhs(params):
+        def rhs(rho, y):
+            return -phi0 / (rho_phi - r0), -flux0 / (rho_flux - r0)
+        return rhs
+
+    monkeypatch.setattr(gs, "_shot_rhs", linear_rhs)
+    path = []
+    assert gs._classify_shot(anchor_params, SQRT2, r0, r_end, path=path) == kind
+    last = path[-1]
+    assert last[0] < min(rho_phi, rho_flux) and max(rho_phi, rho_flux) < last[1]
+    roots = gs._event_root(last, 0), gs._event_root(last, 1)
+    assert roots == pytest.approx((rho_phi, rho_flux), rel=1e-12)
+    assert _scipy_shot(anchor_params, SQRT2, r0, r_end)[0] == kind
 
 
 def test_shoot_profile_logs_its_work(anchor_params, anchor_grid, caplog):
@@ -391,15 +382,6 @@ def test_shoot_profile_logs_its_work(anchor_params, anchor_grid, caplog):
     with caplog.at_level(logging.INFO, logger="degenls"):
         dl.shoot_profile(anchor_params, anchor_grid, max_bisect=3)
     assert caplog.records[-1].getMessage().endswith("stop: max_bisect")
-
-
-def test_shoot_refuses_dense_shot_that_classifies_otherwise(anchor_params, anchor_grid,
-                                                            monkeypatch):
-    # a stepper verdict that the dense integration does not reproduce is an
-    # integrator failure, never a silently sampled other trajectory
-    monkeypatch.setattr(gs, "_classify_shot", lambda *args, **kwargs: "done")
-    with pytest.raises(StiffnessFailureError):
-        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.2, 1.8))
 
 
 def test_shot_near_origin_slope_ratio(wave_cache):
