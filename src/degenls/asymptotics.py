@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -50,14 +49,6 @@ class OriginReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _tail_samples(profile: Profile, lo: float, hi: float):
-    """(rho, phi, log phi) at the nodes of [lo, hi] where phi > 0."""
-    nodes, values = profile.grid.nodes, profile.values
-    mask = (nodes >= lo) & (nodes <= hi) & (values > 0.0)
-    phi = values[mask]
-    return nodes[mask], phi, np.log(phi)
-
-
 def _fit_at_power(log_rho: np.ndarray, ell_c: np.ndarray, ss_tot: float, q: float):
     """Least-squares line log phi ~ c - delta rho^q; returns (delta, residual sum, r2).
 
@@ -96,7 +87,8 @@ def fit_decay(profile: Profile, params: ModelParams,
         raise InvalidParameterError(
             f"fit window {window} needs a finite lower end and a finite or +inf upper end")
     hi = min(hi, 0.9 * grid.r_max)
-    rho, _, logphi = _tail_samples(profile, lo, hi)
+    mask = (grid.nodes >= lo) & (grid.nodes <= hi) & (profile.values > 0.0)
+    rho, logphi = grid.nodes[mask], np.log(profile.values[mask])
     if rho.size < 32:
         raise WindowTooShortError(
             f"only {rho.size} usable nodes in the fit window {window}")
@@ -122,19 +114,6 @@ def fit_decay(profile: Profile, params: ModelParams,
     return DecayFit(delta=delta, power=float(q_free), delta_free=delta_free,
                     q_fixed=q_fixed, r2=r2, window=(float(lo), float(hi)),
                     delta_pred=np.sqrt(params.omega) / (1.0 - params.a))
-
-
-def write_fit_overlay(profile: Profile, fit: DecayFit, path) -> None:
-    """CSV of the profile against the fitted tail curve over the fit window."""
-    rho, phi, logphi = _tail_samples(profile, *fit.window)
-    x = rho ** fit.q_fixed
-    intercept = float(np.mean(logphi + fit.delta * x))
-    fitted = np.exp(intercept - fit.delta * x)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "phi", "fit"])
-        for row in zip(rho, phi, fitted):
-            writer.writerow([format(v, ".17g") for v in row])
 
 
 def _shell_means(rho: np.ndarray, values: np.ndarray, base: float):

@@ -62,6 +62,9 @@ def _emit_error(code: str, message: str) -> None:
 
 
 def cmd_groundstate(cfg: RunConfig, out: str) -> int:
+    if not 0.0 < cfg.pohozaev_threshold < np.inf:
+        raise InvalidParameterError(
+            f"pohozaev_threshold = {cfg.pohozaev_threshold} must be positive and finite")
     params = cfg.params()
     grid = point_grid(params, cfg.n, cfg.r_max, cfg.grid_gamma, minimizer=False)
     log.info("minimizing at d=%d a=%g p=%g on N=%d r_max=%g",

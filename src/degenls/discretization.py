@@ -3,8 +3,8 @@
 All radial integrals here are plain half-line quadratures against the cell
 volumes w_i = (rho_{i+1/2}^d - rho_{i-1/2}^d)/d, i.e. they approximate
 integral f(|x|) dx divided by the surface area of the unit sphere.  The
-functionals module reinstates that constant (`measure`, which every
-`SectorOperator` carries) where full-space values are reported.
+functionals module reinstates that constant (the grid's `measure`) where
+full-space values are reported.
 
 A `LineGrid` lays the d = 1 problem out on the whole line instead: a radial
 grid and its mirror image, coupled through the origin, for fields that need
@@ -206,17 +206,19 @@ class SectorOperator:
     Row i reads (A u)_i = (1/w_i)[s_{i-1/2}(u_i - u_{i-1}) + s_{i+1/2}(u_i - u_{i+1})]
     + V_i u_i, with ghost values 0 beyond both boundary edges; V, the
     potential, includes the angular barrier l(l+d-2) rho^{2a-2} of sector l.
-    Self-adjoint in the volume-weighted inner product.  `measure` turns the
-    cell-volume quadrature on op's grid into a full-space integral.
+    Self-adjoint in the volume-weighted inner product.  Full-space integrals
+    against op take their constant from its grid, `op.grid.measure`.
     """
 
     grid: RadialGrid | LineGrid
-    a: float
-    sector: int
     flux: np.ndarray            # s_{j+1/2}, length N+1; [0] and [-1] are the closures
     diag: np.ndarray            # (s_{i-1/2} + s_{i+1/2}) / w_i + V_i
-    measure: float              # grid.measure; the line's 1 on a block from `branches`
     potential: np.ndarray | None = None     # V at nodes; None where it vanishes
+
+    @property
+    def decoupled(self) -> bool:
+        """Whether op is a line operator whose centre link is 0: its branches do not couple."""
+        return isinstance(self.grid, LineGrid) and self.flux[self.grid.half.n] == 0.0
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         # Flux form: differencing u first avoids the catastrophic cancellation
@@ -278,26 +280,6 @@ class SectorOperator:
         """Solve A x = rhs with the banded LU of the tridiagonal."""
         return solve_banded((1, 1), self.banded(), rhs)
 
-    def branches(self) -> tuple["SectorOperator", "SectorOperator"] | None:
-        """The two half-line blocks of a full-line operator whose centre link is zero.
-
-        Returns (left, right), each on the radial half grid and with the line's
-        measure; the left block is mirrored, so its sample i sits at x = -rho_i.
-        None when the operator does not split: a radial operator, or a line
-        coupled through the origin.
-        """
-        if not isinstance(self.grid, LineGrid) or self.flux[self.grid.half.n] != 0.0:
-            return None
-        n, pot = self.grid.half.n, self.potential
-
-        def block(flux, cells):
-            return SectorOperator(grid=self.grid.half, a=self.a, sector=0, flux=flux,
-                                  diag=self.diag[cells], measure=self.measure,
-                                  potential=None if pot is None else pot[cells])
-
-        return (block(self.flux[n::-1], slice(n - 1, None, -1)),
-                block(self.flux[n:], slice(n, None)))
-
 
 def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
                       potential: np.ndarray | None = None) -> SectorOperator:
@@ -331,8 +313,7 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
             diag += term
     if barrier is not None:
         potential = barrier if potential is None else barrier + potential
-    return SectorOperator(grid=grid, a=a, sector=ell, flux=flux, diag=diag,
-                          measure=grid.measure, potential=potential)
+    return SectorOperator(grid=grid, flux=flux, diag=diag, potential=potential)
 
 
 def weighted_inner(grid: RadialGrid | LineGrid, u: np.ndarray, v: np.ndarray) -> float:

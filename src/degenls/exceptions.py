@@ -31,7 +31,7 @@ class BracketInvalidError(DegenlsError, ValueError):
 
 
 class StiffnessFailureError(DegenlsError, RuntimeError):
-    """ODE integrator failed near the degenerate origin, or two integrations of one shot disagree."""
+    """A shot's RK45 step fell below 10 ulp of rho, at whatever rho the shot had reached."""
 
 
 class SingularLPlusError(DegenlsError, RuntimeError):

@@ -4,7 +4,7 @@ Reported integrals are full-space values: every radial quadrature carries the
 surface-measure constant |S^{d-1}| exactly once.  The identities are
 homogeneous in that constant, so residuals are convention-free; keeping it
 explicit avoids the factor-of-2 trap in d = 1 (full line = 2 x half line).
-The constant is the grid's `measure`, which its operators carry: on a
+The constant is the grid's `measure`, an operator's that of `op.grid`: on a
 `LineGrid` the quadrature already covers the whole line and the measure is 1.
 """
 
@@ -67,12 +67,12 @@ def variance_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
 
 def h_norm_sq(op: SectorOperator, u: np.ndarray) -> float:
     """|u|_{H^{1,a}}^2 = measure <(A0 + I) u, u>_w for real u, Dirichlet closure included."""
-    return op.measure * (op.quad_form(u) + float(np.sum(op.grid.volumes * u * u)))
+    return op.grid.measure * (op.quad_form(u) + float(np.sum(op.grid.volumes * u * u)))
 
 
 def weinstein_of(op: SectorOperator, u: np.ndarray, p: float) -> tuple[float, float]:
     """J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 and integral |u|^{p+1}, for the sector-0 op."""
-    lam = op.measure * float(np.sum(op.grid.volumes * np.abs(u) ** (p + 1.0)))
+    lam = lp_power_of(op.grid, u, p + 1.0)
     return h_norm_sq(op, u) / lam ** (2.0 / (p + 1.0)), lam
 
 

@@ -58,7 +58,7 @@ def _defect(op: SectorOperator, u: np.ndarray, omega: float, nonlinear: np.ndarr
 
 def _defect_norm(op: SectorOperator, u: np.ndarray, omega: float, nonlinear: np.ndarray) -> float:
     """sqrt(measure) |_defect|_w: the defect's full-space norm."""
-    return np.sqrt(op.measure) * weighted_norm(op.grid, _defect(op, u, omega, nonlinear))
+    return np.sqrt(op.grid.measure) * weighted_norm(op.grid, _defect(op, u, omega, nonlinear))
 
 
 # Centre of the seed of the full-line flow.  An even seed stays even under the
@@ -108,7 +108,7 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
     the two branches decouple, and a function spread over both has a larger
     quotient than the better of its two branches alone, so the minimizer
     lives on one branch (x > 0 here) and vanishes on the other; both stages
-    then run on that branch only.
+    then run on the half grid's radial operator, that branch's own.
     """
     if not 0.0 < tol < np.inf:
         raise InvalidParameterError(f"tol = {tol} must be positive and finite")
@@ -142,13 +142,12 @@ def _flow_problem(grid: RadialGrid | LineGrid,
                   a: float) -> tuple[SectorOperator, SectorOperator, np.ndarray]:
     """grid's sector-0 operator, the operator the minimizer runs on, and the flow's seed there.
 
-    The latter is the x > 0 branch once a line decouples, else the whole
-    grid, whose seed is off centre on a line.
+    The latter is the radial operator of the half grid (the x > 0 branch's)
+    once a line decouples, else the whole grid, whose seed is off centre on a line.
     """
     full = assemble_operator(grid, a, sector=0)
-    branches = full.branches()
-    if branches is not None:
-        return full, branches[1], np.exp(-grid.half.nodes ** 2)
+    if full.decoupled:
+        return full, assemble_operator(grid.half, a), np.exp(-grid.half.nodes ** 2)
     centre = LINE_SEED_SHIFT if isinstance(grid, LineGrid) else 0.0
     return full, full, np.exp(-(grid.nodes - centre) ** 2)
 
@@ -166,7 +165,7 @@ def _unit(op: SectorOperator, v: np.ndarray, p: float) -> tuple[np.ndarray, floa
     J is scale-invariant, so at unit norm it is lam^{-2/(p+1)}; the norm is taken once.
     """
     v = v / np.sqrt(functionals.h_norm_sq(op, v))
-    lam = op.measure * float(np.sum(op.grid.volumes * np.abs(v) ** (p + 1.0)))
+    lam = functionals.lp_power_of(op.grid, v, p + 1.0)
     return v, lam ** (-2.0 / (p + 1.0)), lam
 
 
@@ -293,7 +292,7 @@ def _is_minimizer(params: ModelParams, op: SectorOperator, phi: np.ndarray) -> b
 
 def _report(params: ModelParams, full: SectorOperator, phi: np.ndarray, iterations: int,
             newton_steps: int, fallback: bool) -> MinimizerReport:
-    """The report of the wave phi, given on full's grid or, decoupled, on its x > 0 branch.
+    """The report of the wave phi, given on full's grid or, decoupled, on its half grid (x > 0).
 
     j_min, lam and kappa are `functionals.weinstein_of` of phi_normalized, so
     `weinstein_quotient` returns j_min exactly; the residual is phi's defect

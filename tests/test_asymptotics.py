@@ -153,15 +153,3 @@ def test_origin_resolution_guard():
                       omega=1.0)
     with pytest.raises(ResolutionInsufficientError):
         dl.origin_asymptotics(junk, params)
-
-
-def test_fit_overlay_csv(decay_wave_a0, tmp_path):
-    params, wave = decay_wave_a0
-    fit = dl.fit_decay(wave, params)
-    path = tmp_path / "overlay.csv"
-    dl.asymptotics.write_fit_overlay(wave, fit, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "rho,phi,fit"
-    rho, phi, fitted = np.array([r.split(",") for r in rows[1:]], dtype=float).T
-    # the fitted curve tracks the tail to a few percent inside the window
-    assert np.max(np.abs(np.log(fitted) - np.log(phi))) < 0.1

@@ -167,6 +167,20 @@ def test_cli_bad_grid_value_exits_2(tmp_path, capsys, command, key, value):
                        "message": f"{key} must be positive and finite, got {float(value)}"}
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+def test_cli_refuses_pohozaev_threshold_before_any_work(tmp_path, capsys, value):
+    # a threshold that is not positive and finite is a bad parameter: nan
+    # would switch the gate off, and one at or below 0 would fail every run
+    cfg = _write(tmp_path, ANCHOR.replace("pohozaev_threshold = 1e-5",
+                                          f"pohozaev_threshold = {value}"))
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "invalid-parameter", "message":
+                       f"pohozaev_threshold = {float(value)} must be positive and finite"}
+    assert not (out / "profile.csv").exists()
+
+
 def test_cli_groundstate_minimizes_once_at_shifted_omega(tmp_path, monkeypatch):
     # omega != 1: minimizer_report.json describes the one minimization whose
     # wave is written, profile = kappa^{1/(p-1)} phi_normalized rescaled to omega

@@ -163,7 +163,7 @@ def test_line_operator_layout_and_self_adjointness(a):
     rho1 = g.half.nodes[0]
     centre = (1.0 - 2.0 * a) / (2.0 * rho1 ** (1.0 - 2.0 * a)) if a < 0.5 else 0.0
     assert op.flux[128] == pytest.approx(centre, rel=1e-14, abs=0.0)
-    assert (op.branches() is None) == (a < 0.5)
+    assert op.decoupled == (a >= 0.5)
     rng = np.random.default_rng(7)
     for _ in range(5):
         u, v = rng.standard_normal(256), rng.standard_normal(256)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import degenls as dl
-from degenls.functionals import (energy_of, h_norm_sq, kinetic_of, lp_power_of, mass_of,
-                                 virial_of, weinstein_of)
+from degenls.functionals import energy_of, kinetic_of, lp_power_of, mass_of, virial_of
 from tests.conftest import sech_values
 
 
@@ -122,17 +121,3 @@ def test_virial_vanishes_on_waves_only(anchor_wave, anchor_params):
     assert abs(virial_of(anchor_params, anchor_wave.grid, anchor_wave.values)) < 1e-5 * kin
     bad = 1.3 * anchor_wave.values
     assert abs(virial_of(anchor_params, anchor_wave.grid, bad)) > 1e-2 * kin
-
-
-def test_decoupled_block_carries_the_line_measure():
-    # a >= 1/2: the right block of the line sits on the radial half grid,
-    # whose own measure is 2, but its integrals are still integrals over R
-    g = dl.build_line_grid(12.0, 256, 3.0)
-    op = dl.assemble_operator(g, 0.75)
-    _, right = op.branches()
-    assert right.grid is g.half and g.half.measure == 2.0
-    assert right.measure == op.measure == 1.0
-    u = np.where(g.nodes > 0.0, np.exp(-(g.nodes - 1.0) ** 2), 0.0)
-    half = u[g.branch(+1)]
-    assert h_norm_sq(right, half) == pytest.approx(h_norm_sq(op, u), rel=1e-13)
-    assert weinstein_of(right, half, 3.0) == pytest.approx(weinstein_of(op, u, 3.0), rel=1e-13)

@@ -474,6 +474,24 @@ def test_one_sided_wave_where_origin_decouples(a):
         assert np.max(np.abs(supported - radial.values)) < 1e-10 * np.max(radial.values)
 
 
+@pytest.mark.parametrize("a, p", [(0.5, 3.0), (0.75, 2.5)])
+def test_decoupled_line_is_minimized_on_its_half_grid(a, p):
+    # the line's minimizer is the half grid's radial one: the same work, the
+    # same wave on x > 0 and 0 on x < 0; J reads the line's measure 1 against
+    # the half line's 2, so J_line = J_half 2^{2/(p+1) - 1}
+    params = dl.ModelParams(1, a, p, 1.0)
+    line = sweep_grid(params, n=4096)
+    on_line = dl.minimize_weinstein(params, line)
+    on_half = dl.minimize_weinstein(params, line.half)
+    assert on_line.iterations == on_half.iterations
+    assert on_line.newton_steps == on_half.newton_steps
+    wave, radial = on_line.profile(params).values, on_half.profile(params).values
+    assert np.all(wave[line.branch(-1)] == 0.0)
+    assert np.max(np.abs(wave[line.branch(+1)] - radial)) <= 1e-14 * np.max(radial)
+    ratio = 2.0 ** (2.0 / (p + 1.0) - 1.0)
+    assert on_line.j_min == pytest.approx(on_half.j_min * ratio, rel=1e-13)
+
+
 def test_line_wave_satisfies_identities():
     # the identities are those of any H^{1,a}(R) critical point, even or not
     params = dl.ModelParams(1, 0.25, 3.0, 1.0)

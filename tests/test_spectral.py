@@ -204,7 +204,7 @@ def test_decoupled_line_spectrum_is_union_of_branches():
     g = dl.build_line_grid(12.0, 64, 1.5)
     potential = np.random.default_rng(2).standard_normal(g.n)
     op = dl.assemble_operator(g, 0.75, 0, potential=potential)
-    assert op.branches() is not None
+    assert op.decoupled
     vals, vecs = dl.eigenpairs(op, 5)
     diag, off = op.sym_tridiagonal()
     reference = eigh_tridiagonal(diag, off, eigvals_only=True)[:5]
