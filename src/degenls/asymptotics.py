@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ class DecayFit:
     window: tuple[float, float]
     delta_pred: float       # sqrt(omega) / (1 - a)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class OriginReport:
@@ -44,9 +40,6 @@ class OriginReport:
     curv_coeff: float
     predicted_slope: float
     predicted_curv: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _fit_at_power(log_rho: np.ndarray, ell_c: np.ndarray, ss_tot: float, q: float):

@@ -125,7 +125,11 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
     log.info("evolving to t=%g with dt=%g (lambda=%g)", cfg.t_final, cfg.dt, cfg.lambda_scale)
     trace = evolve_and_trace(params, u0, cfg.t_final, cfg.dt,
                              record_every=cfg.record_every)
-    trace.to_csv(os.path.join(out, "trace.csv"))
+    _write_csv(os.path.join(out, "trace.csv"),
+               ["t", "V", "P", "mass", "energy", "gradnorm", "Lp1_norm"],
+               ([_fmt(x) for x in row] for row in zip(
+                   trace.times, trace.v, trace.p_values, trace.mass, trace.energy,
+                   trace.gradnorm, trace.lp1_norm)))
     _write_csv(os.path.join(out, "final_state.csv"), ["rho", "re_u", "im_u"],
                ([_fmt(r), _fmt(v.real), _fmt(v.imag)]
                 for r, v in zip(grid.nodes, trace.final_u)))

@@ -16,7 +16,6 @@ its trust metric.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -146,14 +145,6 @@ class VirialTrace:
         h = dt[0]
         d2 = (self.v[2:] - 2.0 * self.v[1:-1] + self.v[:-2]) / h ** 2
         return self.times[1:-1], d2
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "V", "P", "mass", "energy", "gradnorm", "Lp1_norm"])
-            for row in zip(self.times, self.v, self.p_values, self.mass,
-                           self.energy, self.gradnorm, self.lp1_norm):
-                writer.writerow([format(x, ".17g") for x in row])
 
 
 def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float,

@@ -10,8 +10,7 @@ The constant is the grid's `measure`, an operator's that of `op.grid`: on a
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +91,6 @@ class IdentityReport:
     pohozaev_2: float
     p: float
     alpha: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def pohozaev_coefficient(params: ModelParams) -> float:

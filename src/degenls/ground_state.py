@@ -42,7 +42,7 @@ class MinimizerReport:
         """Unit-frequency wave phi = kappa^{1/(p-1)} * minimizer, with its own defect."""
         values = self.kappa ** (1.0 / (params.p - 1.0)) * self.phi_normalized
         return Profile(grid=self.grid, values=values, omega=1.0,
-                       residual=el_residual(params, self.grid, values))
+                       residual=el_residual(params.with_omega(1.0), self.grid, values))
 
 
 def el_residual(params: ModelParams, grid: RadialGrid | LineGrid, values: np.ndarray) -> float:

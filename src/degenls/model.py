@@ -28,10 +28,10 @@ class ModelParams:
             raise InvalidParameterError(f"dimension must be a positive integer, got {self.d}")
         if not (0.0 <= self.a < 1.0):
             raise InvalidParameterError(f"degeneracy exponent must satisfy 0 <= a < 1, got {self.a}")
-        if not (self.p > 1.0):
-            raise InvalidParameterError(f"nonlinearity power must exceed 1, got {self.p}")
-        if not (self.omega > 0.0):
-            raise InvalidParameterError(f"frequency must be positive, got {self.omega}")
+        if not (1.0 < self.p < np.inf):
+            raise InvalidParameterError(f"nonlinearity power must be finite and exceed 1, got {self.p}")
+        if not (0.0 < self.omega < np.inf):
+            raise InvalidParameterError(f"frequency must be positive and finite, got {self.omega}")
         object.__setattr__(self, "d", int(self.d))
 
     def with_omega(self, omega: float) -> "ModelParams":

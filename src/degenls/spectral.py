@@ -9,9 +9,8 @@ when the count vanishes.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -203,9 +202,6 @@ class SpectralReport:
     verdict: str
     threshold: float
     sectors: list[SectorCounts] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _tol_zero(params: ModelParams, profile: Profile) -> float:

@@ -9,7 +9,7 @@ import pytest
 
 import degenls as dl
 from degenls.cli import main
-from degenls.exceptions import InvalidParameterError
+from degenls.exceptions import InvalidParameterError, SingularLPlusError
 
 
 def test_config_roundtrip_lossless(tmp_path):
@@ -114,6 +114,8 @@ def test_cli_groundstate_outputs(tmp_path, capsys):
     minimizer = json.loads((out / "minimizer_report.json").read_text())
     assert minimizer["kappa"] == pytest.approx(16.0 / 3.0, rel=1e-3)
     identities = json.loads((out / "identity_report.json").read_text())
+    assert set(identities) == {"mass", "energy", "j", "pohozaev_1", "pohozaev_2",
+                               "p", "alpha"}
     assert identities["mass"] == pytest.approx(4.0, rel=1e-4)
 
 
@@ -181,6 +183,61 @@ def test_cli_refuses_pohozaev_threshold_before_any_work(tmp_path, capsys, value)
     assert not (out / "profile.csv").exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("p = inf", "nonlinearity power must be finite and exceed 1, got inf"),
+    ("p = 3.0\nomega = inf", "frequency must be positive and finite, got inf"),
+], ids=["p", "omega"])
+def test_cli_refuses_infinite_power_and_frequency(tmp_path, capsys, setting, message):
+    cfg = _write(tmp_path, ANCHOR.replace("p = 3.0", setting))
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "invalid-parameter", "message": message}
+    assert not (out / "profile.csv").exists()
+
+
+def test_cli_groundstate_gate_exits_70(tmp_path, capsys):
+    # at n = 1024 the identity residual is above the anchor's 1e-5 threshold;
+    # the files are written before the gate is applied
+    cfg = _write(tmp_path, ANCHOR.replace("n = 4096", "n = 1024"))
+    out = tmp_path / "gs"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 70
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "pohozaev-residual"
+    identities = json.loads((out / "identity_report.json").read_text())
+    worst = max(identities["pohozaev_1"], identities["pohozaev_2"])
+    assert payload["message"] == f"identity residual {worst:.3e} above 1.0e-05"
+    assert (out / "profile.csv").exists()
+
+
+def test_cli_groundstate_unreachable_tol_exits_70(tmp_path, capsys):
+    # the Newton polish stops at its rounding floor, above tol = 1e-16
+    cfg = _write(tmp_path, ANCHOR.replace("n = 4096", "n = 1024")
+                 .replace("[solver]\n", "[solver]\ntol = 1e-16\n"))
+    out = tmp_path / "gs"
+    assert main(["groundstate", "--config", cfg, "--out", str(out)]) == 70
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "non-convergence"
+    assert "rounding floor" in payload["message"]
+    assert not (out / "profile.csv").exists()
+
+
+def test_cli_numerical_failure_exits_70(tmp_path, capsys, monkeypatch):
+    # any other DegenlsError is a numerical failure, named in the message
+    def singular(params, wave):
+        raise SingularLPlusError("L+ sector 0 is singular")
+
+    monkeypatch.setattr(importlib.import_module("degenls.spectral"), "slope_and_classify",
+                        singular)
+    cfg = _write(tmp_path, ANCHOR.replace("n = 4096", "n = 1024"))
+    out = tmp_path / "sp"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 70
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "numerical-failure",
+                       "message": "SingularLPlusError: L+ sector 0 is singular"}
+    assert not (out / "spectral_report.json").exists()
+
+
 def test_cli_groundstate_minimizes_once_at_shifted_omega(tmp_path, monkeypatch):
     # omega != 1: minimizer_report.json describes the one minimization whose
     # wave is written, profile = kappa^{1/(p-1)} phi_normalized rescaled to omega
@@ -230,6 +287,7 @@ def test_cli_spectrum_outputs(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "spectral_report.json").read_text())
     assert report["verdict"] == "Stable" and report["n_plus"] == 1
+    assert len(report["sectors"]) == 2
     assert (out / "eigenfunctions.csv").exists()
 
 
@@ -249,6 +307,38 @@ dt = 0.001
     assert summary["mass_drift"] < 1e-9
     assert 2 * 20 <= summary["solves"] <= 3 * 20 + 4      # 20 steps, a polish each
     assert (out / "final_state.csv").exists()
+
+
+def test_cli_evolve_scales_the_wave(tmp_path):
+    # lambda_scale = 1.013 dilates the wave at fixed mass onto the same grid:
+    # V = integral |x|^{2(1-a)} |u|^2 scales by lambda^{-2(1-a)}
+    lam = 1.013
+    cfg = _write(tmp_path, ANCHOR.replace("n = 4096", "n = 1024") + f"""
+[dynamics]
+t_final = 0.01
+dt = 0.001
+lambda_scale = {lam}
+""")
+    out = tmp_path / "ev"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    params = dl.ModelParams(1, 0.0, 3.0)
+    grid = dl.build_grid(1, 20.0, 1024, 1.0)
+    wave = dl.ground_state(params, grid)
+    trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+    assert trace[0, 3] == pytest.approx(dl.functionals.mass_of(grid, wave.values), rel=1e-4)
+    v_wave = dl.functionals.variance_of(params, grid, wave.values)
+    assert trace[0, 1] == pytest.approx(lam ** -2.0 * v_wave, rel=1e-4)
+    final = np.loadtxt(out / "final_state.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(final[:, 0], grid.nodes)
+
+
+def test_cli_sweep_records_infinite_power_in_row(tmp_path):
+    cfg = _write(tmp_path, "[sweep]\nd = 1\na_values = 0.0\np_values = inf\nn = 1024\n")
+    out = tmp_path / "inf"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    assert [(row["p"], row["error"]) for row in rows] \
+        == [("inf", "nonlinearity power must be finite and exceed 1, got inf")]
 
 
 SWEEP = """

@@ -93,16 +93,6 @@ def test_subcritical_scaled_run_stays_bounded(evo_setup):
     assert np.max(trace.gradnorm) < 10.0 * trace.gradnorm[0]
 
 
-def test_trace_csv_columns(evo_setup, tmp_path):
-    params, grid, wave = evo_setup
-    trace = dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,V,P,mass,energy,gradnorm,Lp1_norm"
-    assert len(path.read_text().splitlines()) == trace.times.size + 1
-
-
 def test_evolve_refuses_a_bare_array(evo_setup):
     # The grid comes with the Profile; a bare array carries none.
     params, grid, wave = evo_setup

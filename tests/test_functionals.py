@@ -40,14 +40,6 @@ def test_identities_large_for_non_solution(anchor_wave, anchor_params):
     assert rep.pohozaev_1 > 0.1 or rep.pohozaev_2 > 0.1
 
 
-def test_identity_report_json_roundtrip(anchor_wave, anchor_params):
-    import json
-    rep = dl.evaluate_identities(anchor_params, anchor_wave)
-    decoded = json.loads(rep.to_json())
-    assert set(decoded) == {"mass", "energy", "j", "pohozaev_1", "pohozaev_2",
-                            "p", "alpha"}
-
-
 def test_l2_scale_identity(anchor_wave):
     out = dl.l2_scale(anchor_wave, 1.0)
     assert np.array_equal(out.values, anchor_wave.values)

@@ -76,6 +76,39 @@ def test_kappa_rescale_consistency(anchor_report, anchor_params):
     assert res < 1e-7
 
 
+def test_profile_residual_is_the_unit_frequency_defect():
+    # the minimizer runs at omega = 1 whatever params.omega is, and so does the
+    # defect that `profile` reports; at omega = 2 the wave's defect is |phi|_w
+    params = dl.ModelParams(1, 0.0, 3.0, 2.0)
+    grid = dl.build_grid(1, 30.0, 4096)
+    wave = dl.minimize_weinstein(params, grid).profile(params)
+    assert wave.omega == 1.0
+    assert wave.residual == el_residual(params.with_omega(1.0), grid, wave.values)
+    assert wave.residual < 1e-8
+    # the kernel band follows the residual: with the omega = 2 defect it swallowed 13 eigenvalues
+    report = dl.slope_and_classify(params.with_omega(1.0), wave)
+    assert report.n_plus == 1 and report.verdict == "Stable"
+
+
+def test_flow_stalls_below_its_rounding_floor():
+    # no defect reaches tol = 1e-30 on 256 cells: the best defect stops halving
+    params = dl.ModelParams(1, 0.0, 3.0)
+    _, op, seed = gs._flow_problem(dl.build_grid(1, 20.0, 256, 1.0), 0.0)
+    with pytest.raises(NonConvergenceError, match="stalled") as err:
+        gs._weinstein_flow(params, op, seed, 1e-30)
+    assert err.value.iterations == 2 * gs.STALL_WINDOW
+    assert 0.0 < err.value.residual < 1e-10
+
+
+def test_guard_refuses_a_negative_wave():
+    # at p = 3, -phi solves phi's equation too, but it is not positive
+    params = dl.ModelParams(1, 0.0, 3.0)
+    _, op, seed = gs._flow_problem(dl.build_grid(1, 20.0, 256, 1.0), 0.0)
+    phi, _ = gs._weinstein_flow(params, op, seed, 1e-8)
+    assert gs._is_minimizer(params, op, phi)
+    assert not gs._is_minimizer(params, op, -phi)
+
+
 def test_minimizer_rejects_closed_window():
     grid = dl.build_grid(3, 20.0, 256, 1.0)
     with pytest.raises(InvalidWindowError):

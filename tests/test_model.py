@@ -23,6 +23,13 @@ def test_invalid_parameters_rejected(kwargs):
         dl.ModelParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [dict(p=np.inf), dict(omega=np.inf)], ids=["p", "omega"])
+def test_infinite_power_and_frequency_rejected(kwargs):
+    # p = inf divides by zero in the minimizer; omega = inf stretches its grid to nothing
+    with pytest.raises(InvalidParameterError, match="finite"):
+        dl.ModelParams(**{"d": 1, "a": 0.0, "p": 3.0, **kwargs})
+
+
 def test_classify_by_threshold_examples():
     v = dl.classify_by_threshold(dl.ModelParams(1, 0.0, 3.0))
     assert v.verdict == "Stable" and v.threshold == 5.0 and v.slope_sign > 0

@@ -146,14 +146,6 @@ def test_singular_guard_reads_the_kernel_band(anchor_wave, anchor_params):
         dl.slope_and_classify(params_shifted, shifted)
 
 
-def test_report_serializes(anchor_wave, anchor_params):
-    import json
-    report = dl.slope_and_classify(anchor_params, anchor_wave)
-    decoded = json.loads(report.to_json())
-    assert decoded["n_plus"] == 1 and decoded["verdict"] == "Stable"
-    assert len(decoded["sectors"]) == 2
-
-
 def test_analytic_slope_value(anchor_wave, anchor_params):
     # mass law 4 sqrt(omega): slope = -(1/2) d/domega (4 sqrt(omega)) = -1 at 1
     assert analytic_slope(anchor_params, anchor_wave) == pytest.approx(-1.0, rel=1e-3)
@@ -407,12 +399,11 @@ def test_inconsistent_bisection_raises(anchor_wave, anchor_params, monkeypatch):
 
 
 def test_sector_band_reported(anchor_wave, anchor_params):
-    import json
     report = dl.slope_and_classify(anchor_params, anchor_wave)
-    for counts in json.loads(report.to_json())["sectors"]:
-        op = dl.assemble_linearized(anchor_params, anchor_wave, counts["sector"], +1)
+    for counts in report.sectors:
+        op = dl.assemble_linearized(anchor_params, anchor_wave, counts.sector, +1)
         band = 4.0 * np.finfo(float).eps * np.max(np.abs(op.diag))
-        assert counts["tol"] >= max(1e-8, band)
+        assert counts.tol >= max(1e-8, band)
 
 
 @st.composite
