@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .exceptions import InvalidParameterError
 
@@ -130,12 +130,12 @@ class Profile:
 
 def build_grid(d: int, r_max: float, n: int, gamma: float = 1.0) -> RadialGrid:
     """Build the graded radial grid; rejects degenerate inputs."""
-    if d < 1 or int(d) != d:
+    if not (d >= 1 and float(d).is_integer()):
         raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
     if not (r_max > 0.0):
         raise InvalidParameterError(f"r_max must be positive, got {r_max}")
-    if n < MIN_CELLS:
-        raise InvalidParameterError(f"need at least {MIN_CELLS} cells, got {n}")
+    if not (n >= MIN_CELLS and float(n).is_integer()):
+        raise InvalidParameterError(f"need a whole number of at least {MIN_CELLS} cells, got {n}")
     if not (gamma >= 1.0):
         raise InvalidParameterError(f"grading exponent must be >= 1, got {gamma}")
     edges = (np.arange(n + 1, dtype=float) / n) ** gamma * r_max
@@ -267,18 +267,20 @@ class SectorOperator:
         off = -self.flux[1:-1] / np.sqrt(w[:-1] * w[1:])
         return self.diag, off
 
-    def banded(self, scale: complex = 1.0, shift: complex = 0.0) -> np.ndarray:
-        """scale A + shift I in the (1, 1) band layout of `scipy.linalg.solve_banded`."""
-        w = self.grid.volumes
-        ab = np.zeros((3, self.grid.n), dtype=np.result_type(scale, shift, float))
-        ab[0, 1:] = scale * (-self.flux[1:-1] / w[:-1])
-        ab[1, :] = scale * self.diag + shift
-        ab[2, :-1] = scale * (-self.flux[1:-1] / w[1:])
-        return ab
+    def factor(self, scale: complex = 1.0, shift: complex | np.ndarray = 0.0):
+        """Factor scale A + shift I once (LAPACK ?gttrf, partial pivoting); returns its solve.
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs with the banded LU of the tridiagonal."""
-        return solve_banded((1, 1), self.banded(), rhs)
+        The solve, rhs -> x, is one ?gttrs on the factors and leaves rhs as it
+        was.  shift may be an array, one entry a row.  A singular factor
+        raises LinAlgError.
+        """
+        w, off = self.grid.volumes, -self.flux[1:-1]
+        dtype = np.result_type(scale, shift, float)
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
+        *lu, info = gttrf(scale * (off / w[1:]), scale * self.diag + shift, scale * (off / w[:-1]))
+        if info != 0:
+            raise LinAlgError("singular matrix")
+        return lambda rhs: gttrs(*lu, rhs)[0]
 
 
 def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
@@ -293,7 +295,7 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParameterError(f"degeneracy exponent must satisfy 0 <= a < 1, got {a}")
-    if sector < 0 or int(sector) != sector:
+    if not (sector >= 0 and float(sector).is_integer()):
         raise InvalidParameterError(f"sector index must be a nonnegative integer, got {sector}")
     if grid.d == 1 and sector > 1:
         raise InvalidParameterError("d = 1 has only parity sectors; use sector 0 (even) or 1 (odd)")

@@ -4,7 +4,7 @@ The scheme is Crank-Nicolson with a midpoint nonlinearity: implicit in the
 stiff weighted Laplacian (no transform exists for it, so splitting buys
 nothing) and exactly mass-conserving up to the inner fixed-point tolerance.
 The left-hand side i/dt - A0/2 is constant for a run, so the stepper factors
-it once (LAPACK `zgttrf`) and each inner sweep is one `zgttrs` solve.  The
+it once (`SectorOperator.factor`) and each inner sweep is one solve.  The
 midpoint fixed point (Akrivis, Dougalis and Karakashian 1991) starts from an
 extrapolation of the last states of the run and stops once its measured
 contraction rate puts the iterate within tolerance of the fixed point, so a
@@ -20,9 +20,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded  # unused; bound here because perfbench traces it by name
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import functionals
 from .discretization import LineGrid, Profile, RadialGrid, assemble_operator, weighted_norm
@@ -62,16 +60,13 @@ class CrankNicolson:
         self.grid = grid
         self.dt = dt
         self.op = assemble_operator(grid, params.a, sector=0)
-        ab = _finite(self.op.banded(-0.5, 1j / dt))     # i/dt - A0/2
-        *self._lu, info = zgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        if info != 0:
-            raise LinAlgError("singular matrix")
+        self._solve = self.op.factor(-0.5, 1j / dt)     # i/dt - A0/2
         self.solves = 0
         self._history: list[np.ndarray] = []     # last states of the trajectory, oldest first
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(i/dt - A0/2)^{-1} rhs from the stored factors; rhs is overwritten."""
-        x, _ = zgttrs(*self._lu, _finite(rhs), overwrite_b=1)
+        """(i/dt - A0/2)^{-1} rhs from the stored factors."""
+        x = self._solve(_finite(rhs))
         self.solves += 1
         return x
 

@@ -75,11 +75,6 @@ def weinstein_of(op: SectorOperator, u: np.ndarray, p: float) -> tuple[float, fl
     return h_norm_sq(op, u) / lam ** (2.0 / (p + 1.0)), lam
 
 
-def weinstein_quotient(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
-    """J[u] = (integral |x|^{2a}|grad u|^2 + |u|^2) / |u|_{p+1}^2, as the minimizer has it."""
-    return weinstein_of(assemble_operator(grid, params.a), u, params.p)[0]
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Conserved quantities and identity residuals for one profile."""
@@ -125,8 +120,8 @@ def l2_scale(profile: Profile, lam: float, grid: RadialGrid | None = None) -> Pr
     divided by lam), which conserves the discrete mass and every power norm
     to machine precision; passing a grid interpolates onto it instead.
     """
-    if not (lam > 0.0):
-        raise InvalidParameterError(f"scale factor must be positive, got {lam}")
+    if not (0.0 < lam < np.inf):
+        raise InvalidParameterError(f"scale factor must be positive and finite, got {lam}")
     return dilate(profile, lam ** (profile.grid.d / 2.0), lam, profile.omega, grid)
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import RK45
 from scipy.integrate import solve_ivp  # unused; bound here because perfbench traces it by name
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 from scipy.optimize import brentq
 
 from . import functionals
@@ -186,34 +185,22 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
     stalled (at the grid's rounding floor, say): NonConvergenceError.
     """
     p = params.p
-    n = op.grid.n
-    sqw = np.sqrt(op.grid.volumes)
-    diag, off = op.sym_tridiagonal()
-    diag_lin = diag + 1.0                          # A0 + I
-
-    def factorize(step):
-        ab = np.zeros((2, n))
-        ab[0, 1:] = step * off
-        ab[1, :] = 1.0 + step * diag_lin
-        return cholesky_banded(ab)
-
     # lam and u_p = u^p belong to the current iterate u; each is computed once
     # per accepted step and reused by the next one.
     u, j_curr, lam = _unit(op, seed, p)
     u_p = u ** p
     tau = FLOW_TAU
-    chol = factorize(tau)
+    solve = op.factor(tau, 1.0 + tau)              # I + tau (A0 + I)
     accepted = 0
     best = checked = np.inf                        # best defect so far, and at the last check
 
     for iteration in itertools.count(1):
         kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
         rhs = u + tau * kappa * u_p
-        v, j_new, lam_new = _unit(
-            op, cho_solve_banded((chol, False), sqw * rhs, check_finite=False) / sqw, p)
+        v, j_new, lam_new = _unit(op, solve(rhs), p)
         if j_new > j_curr * (1.0 + 1e-15):
             tau = 0.5 * tau
-            chol = factorize(tau)
+            solve = op.factor(tau, 1.0 + tau)
         else:
             dj = abs(j_curr - j_new)
             u, j_curr, lam = v, j_new, lam_new
@@ -221,7 +208,7 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
             accepted += 1
             if accepted % 20 == 0 and tau < 10.0:
                 tau = 1.5 * tau
-                chol = factorize(tau)
+                solve = op.factor(tau, 1.0 + tau)
             res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
             if res < tol and dj <= 1e-12 * abs(j_curr):
                 return (1.0 / lam) ** (1.0 / (p - 1.0)) * u, iteration
@@ -245,13 +232,10 @@ def _newton(params: ModelParams, op: SectorOperator,
     |F|_w and the number of solves; the Jacobian is freed on return.
     """
     p = params.p
-    jac = op.banded(shift=1.0)
-    diag = jac[1].copy()
     f = _defect(op, phi, 1.0, np.abs(phi) ** (p - 1.0) * phi)
     res, solves = weighted_norm(op.grid, f), 0
     while True:
-        jac[1] = diag - p * np.abs(phi) ** (p - 1.0)
-        delta = solve_banded((1, 1), jac, f, check_finite=False)
+        delta = op.factor(shift=1.0 - p * np.abs(phi) ** (p - 1.0))(f)
         solves += 1
         step = 1.0
         while True:
@@ -294,9 +278,9 @@ def _report(params: ModelParams, full: SectorOperator, phi: np.ndarray, iteratio
             newton_steps: int, fallback: bool) -> MinimizerReport:
     """The report of the wave phi, given on full's grid or, decoupled, on its half grid (x > 0).
 
-    j_min, lam and kappa are `functionals.weinstein_of` of phi_normalized, so
-    `weinstein_quotient` returns j_min exactly; the residual is phi's defect
-    over its H^{1,a} norm.
+    j_min, lam and kappa are `functionals.weinstein_of(full, phi_normalized,
+    p)`, full being the sector-0 operator of the report's grid, so that call
+    returns j_min exactly; the residual is phi's defect over its H^{1,a} norm.
     """
     grid = full.grid
     if phi.size != grid.n:
@@ -485,7 +469,9 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     on which both flip takes the event whose root on the step's interpolant
     comes first.  The shot's accepted steps are appended to `steps` when
     given, and each accepted step's (t, t_new, phi, F, k0, k1) to `path`:
-    its ends, its start values and the seven stages of each component.
+    its ends, its start values and the seven stages of each component.  A
+    step that overflows, or falls below 10 ulp of rho, raises
+    StiffnessFailureError.
     """
     rhs = _shot_rhs(params)
     solver = RK45(rhs, float(r0), _series_start(params, beta, r0), float(r_end),
@@ -497,8 +483,12 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     f0, f1 = solver.f.tolist()
     h_abs = float(solver.h_abs)
     for taken in itertools.count(1):
-        step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, direction, max_step,
-                          rtol, atol0, atol1)
+        try:
+            step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, direction, max_step,
+                              rtol, atol0, atol1)
+        except OverflowError as exc:
+            raise StiffnessFailureError(
+                f"integrator overflowed past rho = {t!r} for beta = {beta!r}") from exc
         if step is None:
             raise StiffnessFailureError(
                 f"integrator failed at rho = {t!r} for beta = {beta!r}: its step fell below"

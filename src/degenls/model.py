@@ -24,7 +24,7 @@ class ModelParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or int(self.d) != self.d:
+        if not (self.d >= 1 and float(self.d).is_integer()):
             raise InvalidParameterError(f"dimension must be a positive integer, got {self.d}")
         if not (0.0 <= self.a < 1.0):
             raise InvalidParameterError(f"degeneracy exponent must satisfy 0 <= a < 1, got {self.a}")

@@ -238,7 +238,7 @@ def slope_solve(params: ModelParams, profile: Profile) -> tuple[np.ndarray, floa
     op = assemble_linearized(params, profile, sector=0, sign=+1)
     tol = max(_tol_zero(params, profile), _band(op))
     _require_regular(_Sturm(op).count(-tol, tol), tol)
-    v = op.solve(profile.values)
+    v = op.factor()(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
 
@@ -334,7 +334,7 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
         (lowest_plus,), _ = plus.values(1)
         if sector == 0:
             _require_regular(n_nonpositive - n_plus, tol)
-            slope = grid.measure * weighted_inner(grid, op.solve(phi), phi)
+            slope = grid.measure * weighted_inner(grid, op.factor()(phi), phi)
         del op, plus
         op = assemble_linearized(params, profile, sector, -1)
         minus = _Sturm(op, work)

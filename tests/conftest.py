@@ -30,6 +30,16 @@ def sech_values(nodes):
     return SQRT2 / np.cosh(nodes)
 
 
+def band(op, scale=1.0, shift=0.0):
+    """scale A + shift I of the operator op in the (1, 1) layout of `scipy.linalg.solve_banded`."""
+    w = op.grid.volumes
+    ab = np.zeros((3, op.grid.n), dtype=np.result_type(scale, shift, float))
+    ab[0, 1:] = scale * (-op.flux[1:-1] / w[:-1])
+    ab[1, :] = scale * op.diag + shift
+    ab[2, :-1] = scale * (-op.flux[1:-1] / w[1:])
+    return ab
+
+
 @pytest.fixture(scope="session")
 def anchor_params():
     return dl.ModelParams(1, 0.0, 3.0, 1.0)

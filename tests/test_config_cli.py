@@ -169,6 +169,15 @@ def test_cli_bad_grid_value_exits_2(tmp_path, capsys, command, key, value):
                        "message": f"{key} must be positive and finite, got {float(value)}"}
 
 
+def test_cli_evolve_refuses_infinite_lambda_scale(tmp_path, capsys):
+    cfg = _write(tmp_path, ANCHOR.replace("n = 4096", "n = 1024")
+                 + "\n[dynamics]\nt_final = 0.01\ndt = 0.001\nlambda_scale = inf\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "ev")]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload == {"error": "invalid-parameter",
+                       "message": "scale factor must be positive and finite, got inf"}
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
 def test_cli_refuses_pohozaev_threshold_before_any_work(tmp_path, capsys, value):
     # a threshold that is not positive and finite is a bad parameter: nan

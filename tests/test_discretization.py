@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import degenls as dl
 from degenls.exceptions import InvalidParameterError
-from tests.conftest import sech_values
+from tests.conftest import band, sech_values
 
 
 def test_uniform_grid_layout():
@@ -195,3 +196,41 @@ def test_line_operator_rejects_other_sectors():
         dl.assemble_operator(g, 0.25, 1)
     with pytest.raises(InvalidParameterError):
         dl.LineGrid.mirror(dl.build_grid(2, 12.0, 64, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("make", [
+    lambda x: dl.ModelParams(x, 0.0, 3.0),
+    lambda x: dl.build_grid(x, 10.0, 64),
+    lambda x: dl.build_grid(1, 10.0, x),
+    lambda x: dl.assemble_operator(dl.build_grid(1, 10.0, 64), 0.0, sector=x),
+], ids=["model-d", "grid-d", "grid-n", "sector"])
+def test_integer_checks_refuse_non_finite_numbers(make, bad):
+    with pytest.raises(InvalidParameterError):
+        make(bad)
+
+
+_RADIAL = dl.build_grid(2, 10.0, 512, 1.5)
+_LINE = dl.build_line_grid(10.0, 256, 1.5)
+
+
+@pytest.mark.parametrize("scale, shift", [(0.7, 1.3), (-0.5, 20j), (1.0, "array")],
+                         ids=["real", "complex", "array"])
+@pytest.mark.parametrize("op", [
+    dl.assemble_operator(_RADIAL, 0.25, sector=1, potential=1.0 - np.exp(-_RADIAL.nodes)),
+    dl.assemble_operator(_LINE, 0.25),      # coupled through the origin
+    dl.assemble_operator(_LINE, 0.75),      # centre link exactly 0
+], ids=["radial-sector-1", "line-coupled", "line-decoupled"])
+def test_factor_matches_solve_banded(op, scale, shift):
+    if shift == "array":        # a Newton Jacobian's diagonal shift, one entry a row
+        shift = 1.0 - 3.0 * np.exp(-op.grid.nodes ** 2)
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(op.grid.n)
+    if np.iscomplexobj(shift):
+        rhs = rhs + 1j * rng.standard_normal(op.grid.n)
+    kept = rhs.copy()
+    out = op.factor(scale, shift)(rhs)
+    ref = solve_banded((1, 1), band(op, scale, shift), rhs)
+    assert np.array_equal(rhs, kept)
+    assert out.dtype == ref.dtype
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -6,10 +6,12 @@ import pytest
 from scipy.linalg import LinAlgError, solve_banded
 
 import degenls as dl
+import degenls.discretization
 import degenls.dynamics
 from degenls.dynamics import CrankNicolson
 from degenls.exceptions import InvalidParameterError
 from degenls.functionals import lp_power_of, mass_of
+from tests.conftest import band
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +115,7 @@ class _BandedReference(CrankNicolson):
     """The stepper with every sweep solved by `solve_banded` on the unfactored band."""
 
     def solve(self, rhs):
-        return solve_banded((1, 1), self.op.banded(-0.5, 1j / self.dt), rhs)
+        return solve_banded((1, 1), band(self.op, -0.5, 1j / self.dt), rhs)
 
 
 _LINE = dl.build_line_grid(12.0, 512, 1.5)
@@ -129,7 +131,7 @@ def test_factored_solve_matches_solve_banded(a, grid, dt):
     stepper = CrankNicolson(dl.ModelParams(1, a, 3.0, 1.0), grid, dt)
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    ref = solve_banded((1, 1), stepper.op.banded(-0.5, 1j / dt), rhs)
+    ref = solve_banded((1, 1), band(stepper.op, -0.5, 1j / dt), rhs)
     out = stepper.solve(rhs.copy())
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -152,23 +154,24 @@ def test_band_is_factored_once_per_run(evo_setup, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solve_banded called by the stepper")
 
-    calls = {"zgttrf": 0, "zgttrs": 0}
+    calls = {"factor": 0, "solve": 0}
+    factor = dl.SectorOperator.factor
 
-    def counting(name):
-        routine = getattr(degenls.dynamics, name)
+    def counted_factor(*args, **kwargs):
+        calls["factor"] += 1
+        solve = factor(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return routine(*args, **kwargs)
-        return counted
+        def counted_solve(rhs):
+            calls["solve"] += 1
+            return solve(rhs)
+        return counted_solve
 
     monkeypatch.setattr(degenls.dynamics, "solve_banded", refuse)
-    for name in calls:
-        monkeypatch.setattr(degenls.dynamics, name, counting(name))
+    monkeypatch.setattr(dl.SectorOperator, "factor", counted_factor)
     trace = dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
     assert trace.times.size == 11 and trace.halt_reason == ""
-    assert calls["zgttrf"] == 1
-    assert trace.solves == calls["zgttrs"] >= 2 * 10
+    assert calls["factor"] == 1
+    assert trace.solves == calls["solve"] >= 2 * 10
 
 
 @pytest.mark.parametrize("lam", [1.0, 1.02])
@@ -259,13 +262,17 @@ def test_nan_state_raises_instead_of_blowup(evo_setup):
 
 def test_singular_band_raises(evo_setup, monkeypatch):
     params, grid, wave = evo_setup
-    factor = degenls.dynamics.zgttrf
+    lookup = degenls.discretization.get_lapack_funcs
 
     def singular(*args, **kwargs):
-        *lu, _ = factor(*args, **kwargs)
-        return (*lu, 1)
+        gttrf, gttrs = lookup(*args, **kwargs)
 
-    monkeypatch.setattr(degenls.dynamics, "zgttrf", singular)
+        def factor(*args, **kwargs):
+            *lu, _ = gttrf(*args, **kwargs)
+            return (*lu, 1)
+        return factor, gttrs
+
+    monkeypatch.setattr(degenls.discretization, "get_lapack_funcs", singular)
     with pytest.raises(LinAlgError):
         CrankNicolson(params, grid, 1e-3)
     with pytest.raises(LinAlgError):

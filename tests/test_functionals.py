@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import degenls as dl
+from degenls.exceptions import InvalidParameterError
 from degenls.functionals import energy_of, kinetic_of, lp_power_of, mass_of, virial_of
 from tests.conftest import sech_values
 
@@ -66,6 +67,12 @@ def test_l2_scale_onto_grid(anchor_wave):
     out = dl.l2_scale(anchor_wave, 1.1, grid=target)
     exact = np.sqrt(1.1) * sech_values(1.1 * target.nodes)
     assert np.max(np.abs(out.values - exact)) < 1e-4
+
+
+def test_l2_scale_refuses_infinite_factor(anchor_wave):
+    # onto a grid, lam = inf would sample u at infinity and return non-finite values
+    with pytest.raises(InvalidParameterError):
+        dl.l2_scale(anchor_wave, np.inf, grid=anchor_wave.grid)
 
 
 def test_scaled_energy_closed_form_vs_direct(wave_cache):

@@ -11,7 +11,7 @@ import degenls as dl
 from degenls.exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
                                 NonConvergenceError, StiffnessFailureError)
 from degenls.ground_state import el_residual
-from degenls.presets import default_r_max, line_grading, sweep_grid
+from degenls.presets import default_r_max, line_grading, point_grid, sweep_grid
 from tests.conftest import SQRT2, sech_values
 
 # The module, not the `ground_state` function the package exports under its name.
@@ -28,7 +28,8 @@ def test_minimizer_matches_sech_oracle(anchor_wave, anchor_grid):
 def test_minimizer_report_consistency(anchor_report, anchor_params):
     rep = anchor_report
     # J[Phi] equals the reported minimum by construction of the quotient
-    j = dl.functionals.weinstein_quotient(anchor_params, rep.grid, rep.phi_normalized)
+    j = dl.functionals.weinstein_of(dl.assemble_operator(rep.grid, anchor_params.a),
+                                    rep.phi_normalized, anchor_params.p)[0]
     assert j == pytest.approx(rep.j_min, rel=1e-12)
     assert rep.kappa > 0
     assert rep.kappa == pytest.approx(1.0 / rep.lam, rel=1e-12)
@@ -40,14 +41,15 @@ def test_minimizer_report_consistency(anchor_report, anchor_params):
 
 @pytest.mark.parametrize("a", [0.0, 0.25])
 def test_quotient_is_the_minimizers_own(a):
-    # weinstein_quotient evaluates J with the flow's own operator form, so the
+    # weinstein_of on the sector-0 operator is J in the flow's own form, so the
     # reported minimum comes back exactly, on a radial grid (a = 0) and on the
     # full line (a = 0.25)
     params = dl.ModelParams(1, a, 3.0, 1.0)
     grid = sweep_grid(params, n=8192)
     assert isinstance(grid, dl.LineGrid) == (a > 0.0)
     rep = dl.minimize_weinstein(params, grid)
-    assert dl.functionals.weinstein_quotient(params, rep.grid, rep.phi_normalized) == rep.j_min
+    op = dl.assemble_operator(rep.grid, params.a)
+    assert dl.functionals.weinstein_of(op, rep.phi_normalized, params.p)[0] == rep.j_min
 
 
 def test_minimizer_is_local_minimum(anchor_report, anchor_params):
@@ -55,11 +57,12 @@ def test_minimizer_is_local_minimum(anchor_report, anchor_params):
     rep = anchor_report
     j0 = rep.j_min
     grid = rep.grid
+    op = dl.assemble_operator(grid, anchor_params.a)
     for _ in range(50):
         h = rng.standard_normal(grid.n)
         h /= dl.weighted_norm(grid, h)
         u = rep.phi_normalized + 1e-3 * h
-        assert dl.functionals.weinstein_quotient(anchor_params, grid, u) >= j0 - 1e-12
+        assert dl.functionals.weinstein_of(op, u, anchor_params.p)[0] >= j0 - 1e-12
 
 
 def test_el_residual_below_tolerance(anchor_wave, anchor_params):
@@ -373,6 +376,15 @@ def test_shot_stepper_failure_is_an_error(anchor_params, anchor_grid, monkeypatc
         dl.shoot_profile(anchor_params, anchor_grid)
 
 
+def test_overflowing_shot_is_a_stiffness_failure():
+    # at p = 7 a shot from beta = 40 turns well inside the start radius, and
+    # abs(phi) ** (p - 1) overflows a float
+    params = dl.ModelParams(1, 0.0, 7.0)
+    grid = point_grid(params, 16384, 0.0, 0.0, minimizer=False)
+    with pytest.raises(StiffnessFailureError, match="overflowed"):
+        dl.shoot_profile(params, grid, beta_bracket=(1.1, 40.0))
+
+
 @pytest.mark.parametrize("rho_phi, rho_flux, kind", [(2.0, 2.5, "over"), (2.5, 2.0, "under")])
 def test_double_sign_flip_takes_the_earlier_root(anchor_params, anchor_grid, monkeypatch,
                                                  rho_phi, rho_flux, kind):
@@ -622,5 +634,6 @@ def test_forced_fallback_returns_the_minimizer(monkeypatch, anchor_grid, a):
     monkeypatch.setattr(gs, "_is_minimizer", lambda *args: False)
     rep = dl.minimize_weinstein(params, grid)
     assert rep.fallback
-    j_flow = dl.functionals.weinstein_quotient(params, grid, flow)
+    j_flow = dl.functionals.weinstein_of(dl.assemble_operator(grid, params.a), flow,
+                                         params.p)[0]
     assert rep.j_min == pytest.approx(j_flow, rel=1e-10)
