@@ -152,9 +152,9 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
     variance plus gradient growth is the accepted signature).  Runs are also
     halted when relative tail mass beyond 0.9 r_max exceeds REFLECTION_GUARD,
     since the outer boundary is reflecting.  dt must be positive and finite,
-    t_final non-negative and finite, and record_every a whole number at
-    least 1.  One INFO line on this module's logger gives the steps taken,
-    the solves and the halt reason.
+    t_final non-negative and finite, t_final / dt a finite number of steps,
+    and record_every a whole number at least 1.  One INFO line on this
+    module's logger gives the steps taken, the solves and the halt reason.
     """
     if not isinstance(u0, Profile):
         raise InvalidParameterError(f"u0 must be a Profile, got {type(u0).__name__}")
@@ -164,6 +164,9 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
         raise InvalidParameterError(f"t_final = {t_final} must be non-negative and finite")
     if not (record_every >= 1 and float(record_every).is_integer()):
         raise InvalidParameterError(f"record_every = {record_every} must be a whole number >= 1")
+    if not np.isfinite(t_final / dt):
+        raise InvalidParameterError(
+            f"t_final / dt = {t_final} / {dt} is not a finite number of steps")
     grid = u0.grid
     u = u0.values.astype(complex)
     stepper = CrankNicolson(params, grid, dt)

@@ -74,6 +74,11 @@ NEWTON_MIN_STEP = 0.125     # the shortest damped Newton step tried
 # floors are 1e-20 to 2e-17, polishes that failed to converge stop at 1e-7 and above.
 FLOOR_BACKWARD_ERROR = 64.0 * np.finfo(float).eps
 RECONCILE_REL_TOL = 1e-3    # relative disagreement at which `reconcile` reports a mismatch
+# Shooting (`shoot_profile`).  The locate phase stops at LOCATE_RTOL of beta;
+# the replay shoots every midpoint within REPLAY_MARGIN of the located bracket,
+# well above the few-ulp band in which rounding sets a shot's class.
+LOCATE_RTOL = 2.0 ** -44
+REPLAY_MARGIN = 2.0 ** -44
 
 
 def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
@@ -458,7 +463,8 @@ def _event_root(step: tuple, component: int) -> float:
 
 
 def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
-                   steps: list[int] | None = None, path: list[tuple] | None = None) -> str:
+                   steps: list[int] | None = None, path: list[tuple] | None = None,
+                   exits: list[float] | None = None) -> str:
     """Integrate the flux system outward from central value beta and classify the shot.
 
     One plain RK45 with the `_shot_tolerances` and float end points gives
@@ -468,7 +474,8 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     shot that reaches r_end with neither is classified by `_end_kind`.  A step
     on which both flip takes the event whose root on the step's interpolant
     comes first.  The shot's accepted steps are appended to `steps` when
-    given, and each accepted step's (t, t_new, phi, F, k0, k1) to `path`:
+    given, the radius at which it ended (the end of its last step) to
+    `exits`, and each accepted step's (t, t_new, phi, F, k0, k1) to `path`:
     its ends, its start values and the seven stages of each component.  A
     step that overflows, or falls below 10 ulp of rho, raises
     StiffnessFailureError.
@@ -510,6 +517,8 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
         t, phi, flux, f0, f1 = t_new, phi_new, flux_new, k0[6], k1[6]
     if steps is not None:
         steps.append(taken)
+    if exits is not None:
+        exits.append(t_new)
     return kind
 
 
@@ -523,23 +532,43 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     shot that reaches r_max without either is 'done' when phi < 1e-6 beta
     there and an undershoot otherwise (`_end_kind`); bisection stops at the
     first 'done' shot, when the bracket closes to rounding, or after
-    max_bisect shots.  Every shot is `_classify_shot`: RK45 stepped on
-    floats.  Bracket and bisection shots are only classified; the chosen beta
+    max_bisect midpoints.  Every shot is `_classify_shot`: RK45 stepped on
+    floats.
+
+    The bisection runs in two phases.  Locate: `brentq` on the signed miss
+    of each shot, +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an
+    undershoot and 0 for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a)
+    at the radius where the shot ended, closes the bracket to LOCATE_RTOL of
+    beta in at most max_bisect steps.  A shot off beta* by delta leaves the
+    decaying branch where delta e^{Lambda} meets e^{-Lambda}, so the miss is
+    close to linear in beta - beta* and the secant converges fast.  Replay:
+    the bisection from the first bracket, midpoint by midpoint, reads a
+    midpoint's class without a shot only when it lies more than REPLAY_MARGIN
+    of itself below the highest undershoot or above the lowest overshoot
+    (and outside every 'done' shot); any other midpoint is shot, once, as
+    every beta is.  Near beta* the class is set by rounding, which the margin
+    leaves to the shots, so the replay takes the plain bisection's midpoints,
+    classes and stop, and returns its beta.  A locate shot that fails ends
+    the locate phase; the replay then shoots what it cannot read.
+
+    Bracket, locate and replay shots are only classified; the chosen beta
     is shot once more with its steps recorded, and the returned samples
     follow RK45's dense output on those steps down to the graft point, the
     lowest positive sample of that output, and continue with the
     stretched-exponential tail exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The
-    ODE is radial, so the grid must be too.  A given beta_bracket, in either
-    order, needs finite ends above the constant solution omega^{1/(p-1)}; it
-    is checked before any shot.  One INFO line on this module's logger gives
-    the shots, their accepted steps, the final bracket width relative to beta
-    and the stop reason: 'hit' (a 'done' shot), 'bracket closed' or
-    'max_bisect'.
+    ODE is radial, so the grid must be too.  max_bisect must be a whole
+    number at least 1.  A given beta_bracket, in either order, needs finite
+    ends above the constant solution omega^{1/(p-1)}; it is checked before
+    any shot.  One INFO line on this module's logger gives the locate shots,
+    the replayed midpoints and how many of them were shot, all shots, their
+    accepted steps, the final bracket width relative to beta and the stop
+    reason: 'hit' (a 'done' shot), 'bracket closed' or 'max_bisect'.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
-    if max_bisect < 1:
-        raise InvalidParameterError(f"max_bisect = {max_bisect} must be at least 1")
+    if not (max_bisect >= 1 and float(max_bisect).is_integer()):
+        raise InvalidParameterError(f"max_bisect = {max_bisect} must be a whole number >= 1")
+    max_bisect = int(max_bisect)
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
     omega, p = params.omega, params.p
@@ -548,11 +577,20 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     r_end = grid.r_max
 
     steps: list[int] = []                # accepted steps of each classified shot
+    shots: dict[float, tuple[str, float]] = {}     # beta: (kind, exit radius)
+
+    def shoot(beta: float) -> str:
+        if beta not in shots:
+            exits: list[float] = []
+            kind = _classify_shot(params, beta, r0, r_end, steps, exits=exits)
+            shots[beta] = kind, exits[0]
+        return shots[beta][0]
+
     if beta_bracket is None:
         lo = beta_fixed * (1.0 + 1e-6)
         hi = 2.0 * beta_fixed
         for _ in range(64):
-            if _classify_shot(params, hi, r0, r_end, steps) == "over":
+            if shoot(hi) == "over":
                 break
             lo = hi
             hi *= 2.0
@@ -566,17 +604,46 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             raise BracketInvalidError(
                 f"beta_bracket = {beta_bracket} has an end at or below the constant-solution"
                 f" value {beta_fixed} (phi^p(0) - omega phi(0) must be positive)")
-        kind_lo = _classify_shot(params, lo, r0, r_end, steps)
-        kind_hi = _classify_shot(params, hi, r0, r_end, steps)
+        kind_lo = shoot(lo)
+        kind_hi = shoot(hi)
         if kind_lo == kind_hi and not (kind_lo == "done" or kind_hi == "done"):
             raise BracketInvalidError(f"both endpoints classify as '{kind_lo}'")
         if kind_lo == "over" or kind_hi == "under":
             lo, hi = hi, lo
 
+    # Locate
+    bracket_shots = len(steps)
+    rate = 2.0 * math.sqrt(omega) / (1.0 - params.a)
+
+    def miss(beta: float) -> float:
+        kind = shoot(beta)
+        if kind == "done":
+            return 0.0
+        size = math.exp(-rate * shots[beta][1] ** (1.0 - params.a))
+        return size if kind == "over" else -size
+
+    ends = sorted((lo, hi))
+    try:
+        if (miss(ends[0]) < 0.0) != (miss(ends[1]) < 0.0):
+            brentq(miss, *ends, xtol=np.finfo(float).tiny, rtol=LOCATE_RTOL,
+                   maxiter=max_bisect, disp=False)
+    except StiffnessFailureError:
+        pass                             # the replay shoots what it cannot read
+    located = len(steps) - bracket_shots
+
+    # Replay
+    edges = [max((b for b, (k, _) in shots.items() if k == "under"), default=-math.inf),
+             min((b for b, (k, _) in shots.items() if k == "over"), default=math.inf),
+             *(b for b, (k, _) in shots.items() if k == "done")]
+    below, above = min(edges) * (1.0 - REPLAY_MARGIN), max(edges) * (1.0 + REPLAY_MARGIN)
+
     stop = "max_bisect"
-    for _ in range(max_bisect):
+    for replayed in range(1, max_bisect + 1):
         beta = 0.5 * (lo + hi)
-        kind = _classify_shot(params, beta, r0, r_end, steps)
+        if beta in shots or below <= beta <= above:
+            kind = shoot(beta)
+        else:
+            kind = "under" if beta < below else "over"
         if kind == "done":
             stop = "hit"
             break
@@ -590,9 +657,10 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
 
     path: list[tuple] = []
     _classify_shot(params, beta, r0, r_end, path=path)
-    log.info("shooting at %s: %d shots (%d classified, 1 dense), %d accepted steps,"
-             " final bracket %.1e of beta, stop: %s", params, len(steps) + 1, len(steps),
-             sum(steps) + len(path), abs(hi - lo) / beta, stop)
+    log.info("shooting at %s: %d locate shots, %d midpoints replayed (%d shot), %d shots"
+             " (%d classified, 1 dense), %d accepted steps, final bracket %.1e of beta,"
+             " stop: %s", params, located, replayed, len(steps) - bracket_shots - located,
+             len(steps) + 1, len(steps), sum(steps) + len(path), abs(hi - lo) / beta, stop)
     values = _sample_shot(params, grid, path)
     return Profile(grid=grid, values=values, omega=omega,
                    residual=el_residual(params, grid, values), phi0=beta)

@@ -93,6 +93,7 @@ def test_cli_invalid_window_exits_2(tmp_path, capsys, command):
     ("evolve", "[dynamics]\ndt = -0.001"),
     ("evolve", "[dynamics]\nt_final = -1.0"),
     ("evolve", "[dynamics]\nrecord_every = 0"),
+    ("evolve", "[dynamics]\nt_final = 0.01\ndt = 5e-324"),
     ("groundstate", "[solver]\ntol = 0.0"),
     ("groundstate", "[solver]\ntol = -1e-8"),
 ])

@@ -104,7 +104,7 @@ def test_evolve_refuses_a_bare_array(evo_setup):
 
 @pytest.mark.parametrize("t_final, dt, record_every",
                          [(0.01, 0.0, 1), (0.01, -1e-3, 1), (-0.01, 1e-3, 1), (0.01, 1e-3, 0),
-                          (0.01, 1e-3, 2.5)])
+                          (0.01, 1e-3, 2.5), (0.01, 5e-324, 1)])
 def test_evolve_refuses_out_of_range_numbers(evo_setup, t_final, dt, record_every):
     params, _, wave = evo_setup
     with pytest.raises(InvalidParameterError):

@@ -167,7 +167,7 @@ def test_shoot_refuses_bracket_before_any_shot(anchor_params, anchor_grid, monke
     assert shots == []
 
 
-@pytest.mark.parametrize("max_bisect", [0, -1])
+@pytest.mark.parametrize("max_bisect", [0, -1, 2.5, float("inf"), float("nan")])
 def test_shoot_rejects_max_bisect_below_one(anchor_params, anchor_grid, max_bisect):
     with pytest.raises(InvalidParameterError):
         dl.shoot_profile(anchor_params, anchor_grid, max_bisect=max_bisect)
@@ -427,6 +427,135 @@ def test_shoot_profile_logs_its_work(anchor_params, anchor_grid, caplog):
     with caplog.at_level(logging.INFO, logger="degenls"):
         dl.shoot_profile(anchor_params, anchor_grid, max_bisect=3)
     assert caplog.records[-1].getMessage().endswith("stop: max_bisect")
+
+
+def _plain_bisection(params, grid):
+    """Bisection on beta with every midpoint shot by `_classify_shot`: (beta, stop reason)."""
+    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
+
+    def kind(beta):
+        return gs._classify_shot(params, beta, r0, r_end)
+
+    beta_fixed = params.omega ** (1.0 / (params.p - 1.0))
+    lo, hi = beta_fixed * (1.0 + 1e-6), 2.0 * beta_fixed
+    while kind(hi) != "over":
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        beta = 0.5 * (lo + hi)
+        shot = kind(beta)
+        if shot == "done":
+            return beta, "hit"
+        if shot == "over":
+            hi = beta
+        else:
+            lo = beta
+        if hi - lo < 4.0 * np.finfo(float).eps * hi:
+            return beta, "bracket closed"
+    return beta, "max_bisect"
+
+
+@pytest.mark.parametrize("d, a, p, grid_args", [
+    (1, 0.0, 3.0, (20.0, 4096, 1.0)), (2, 0.25, 3.0, (12.0, 1024, 1.5))])
+def test_shoot_profile_replays_the_plain_bisection(caplog, d, a, p, grid_args):
+    # the secant only locates beta*: the returned beta, every sample and the
+    # stop are the plain bisection's, bit for bit ('hit' on the short d = 2 grid)
+    params = dl.ModelParams(d, a, p, 1.0)
+    grid = dl.build_grid(d, *grid_args)
+    beta, stop = _plain_bisection(params, grid)
+    path = []
+    gs._classify_shot(params, beta, 0.5 * grid.nodes[0], grid.r_max, path=path)
+    with caplog.at_level(logging.INFO, logger="degenls"):
+        shot = dl.shoot_profile(params, grid)
+    assert shot.phi0 == beta
+    assert np.array_equal(shot.values, gs._sample_shot(params, grid, path))
+    assert caplog.records[-1].getMessage().endswith(f"stop: {stop}")
+
+
+def _synthetic_classifier(monkeypatch, boundary, flips, done_width):
+    """Patch `_classify_shot` with a shot of known boundary: exact classes away
+    from it, a rounding-like scatter within `flips` ulp of it, 'done' within
+    `done_width`, and an exit radius from the miss model at a = 0, omega = 1,
+    where |beta - beta_miss| e^{rho} meets e^{-rho}.  The model is close to
+    the class, not on it: its zero beta_miss lies 6 ulp below the boundary, so
+    that the secant lands inside the scatter.  The recorded shot stays a real
+    one, so that the profile can be sampled."""
+    original = gs._classify_shot
+    ulp = np.spacing(boundary)
+
+    def classify(params, beta, r0, r_end, steps=None, path=None, exits=None):
+        if path is not None:
+            return original(params, beta, r0, r_end, steps, path=path, exits=exits)
+        offset = round((beta - boundary) / ulp)
+        if abs(beta - boundary) < done_width:
+            kind = "done"
+        elif abs(offset) <= flips:
+            kind = "over" if offset * 40503 % 7 < 3 else "under"
+        else:
+            kind = "over" if beta > boundary else "under"
+        if steps is not None:
+            steps.append(1)
+        if exits is not None:
+            miss = max(abs(beta - (boundary - 6.0 * ulp)), ulp) / boundary
+            exits.append(r_end if kind == "done" else min(r_end, -0.5 * np.log(miss)))
+        return kind
+
+    monkeypatch.setattr(gs, "_classify_shot", classify)
+
+
+@pytest.mark.parametrize("done_width, stop", [(0.0, "bracket closed"), (1e-9, "hit")])
+def test_replay_reads_no_class_that_rounding_sets(anchor_params, anchor_grid, monkeypatch,
+                                                  caplog, done_width, stop):
+    # within 8 ulp of the boundary the class scatters as rounding scatters it:
+    # the replay shoots there and returns the plain bisection's beta and stop,
+    # 'hit' when a bisection midpoint is 'done'
+    boundary = 1.4142135
+    _synthetic_classifier(monkeypatch, boundary, 8, done_width * boundary)
+    beta, plain_stop = _plain_bisection(anchor_params, anchor_grid)
+    assert plain_stop == stop
+    with caplog.at_level(logging.INFO, logger="degenls"):
+        shot = dl.shoot_profile(anchor_params, anchor_grid)
+    assert shot.phi0 == beta
+    assert caplog.records[-1].getMessage().endswith(f"stop: {stop}")
+    if stop == "bracket closed":
+        # the plain bisection ends inside the scatter, where no class is read
+        assert abs(beta - boundary) <= 8 * np.spacing(boundary)
+
+
+def test_failed_locate_shot_leaves_the_bisection(anchor_params, anchor_grid, monkeypatch):
+    # the locate phase also shoots the bracket search's lower end, which the
+    # bisection takes as an undershoot without a shot: a failure there ends
+    # the locate phase, and the plain bisection's beta still comes back
+    lower_end = 1.0 + 1e-6                  # beta_fixed = 1
+    _synthetic_classifier(monkeypatch, 1.4142135, 8, 0.0)
+    synthetic = gs._classify_shot
+
+    def failing(params, beta, *args, **kwargs):
+        if beta == lower_end:
+            raise StiffnessFailureError(f"integrator failed for beta = {beta!r}")
+        return synthetic(params, beta, *args, **kwargs)
+
+    monkeypatch.setattr(gs, "_classify_shot", failing)
+    beta, _ = _plain_bisection(anchor_params, anchor_grid)
+    assert dl.shoot_profile(anchor_params, anchor_grid).phi0 == beta
+
+
+def test_shoot_profile_locates_in_few_shots(anchor_params, anchor_grid, caplog):
+    # the plain bisection takes 51 classified shots at the anchor; the locate
+    # and replay phases take fewer than 36, the same number on every run, and
+    # the INFO line splits them into bracket, locate and replay shots
+    counts = []
+    for _ in range(2):
+        with caplog.at_level(logging.INFO, logger="degenls"):
+            dl.shoot_profile(anchor_params, anchor_grid)
+        match = re.search(r": (\d+) locate shots, (\d+) midpoints replayed \((\d+) shot\),"
+                          r" (\d+) shots \((\d+) classified, 1 dense\)",
+                          caplog.records[-1].getMessage())
+        assert match is not None
+        located, replayed, replay_shots, _, classified = (int(g) for g in match.groups())
+        # one bracket shot: beta = 2 overshoots
+        assert 0 < replay_shots < replayed and classified == 1 + located + replay_shots
+        counts.append(classified)
+    assert counts[0] == counts[1] < 36
 
 
 def test_shot_near_origin_slope_ratio(wave_cache):
