@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_USAGE = 64
 EXIT_NUMERIC = 70
+CSV_CHUNK = 256     # rows of a numeric CSV formatted per write
 
 
 def _fmt(x: float) -> str:
@@ -48,8 +49,20 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _profile_rows(profile):
-    return ([_fmt(r), _fmt(v)] for r, v in zip(profile.grid.nodes, profile.values))
+def _write_columns(path: str, header: list[str], columns) -> None:
+    """A numeric CSV with csv.writer's bytes: one column per array, each value '%.17g'.
+
+    '%.17g' % x formats as format(x, '.17g') does, and no such field needs
+    quoting.  Rows are formatted CSV_CHUNK at a time, so the memory stays
+    bounded on any grid.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK):
+            chunk = zip(*(column[start:start + CSV_CHUNK].tolist() for column in columns))
+            fh.write("".join([line % row for row in chunk]))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -72,7 +85,8 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
     report, wave = minimize_and_rescale(params, grid, tol=cfg.tol)
     identities = functionals.evaluate_identities(params, wave)
 
-    _write_csv(os.path.join(out, "profile.csv"), ["rho", "phi"], _profile_rows(wave))
+    _write_columns(os.path.join(out, "profile.csv"), ["rho", "phi"],
+                   [wave.grid.nodes, wave.values])
     _write_json(os.path.join(out, "minimizer_report.json"), {
         "j_min": report.j_min, "lambda": report.lam, "kappa": report.kappa,
         "iterations": report.iterations, "residual": report.residual,
@@ -81,8 +95,8 @@ def cmd_groundstate(cfg: RunConfig, out: str) -> int:
 
     if cfg.shoot:
         shot = shoot_profile(params, grid)
-        _write_csv(os.path.join(out, "shooting_profile.csv"), ["rho", "phi"],
-                   _profile_rows(shot))
+        _write_columns(os.path.join(out, "shooting_profile.csv"), ["rho", "phi"],
+                       [shot.grid.nodes, shot.values])
         _write_json(os.path.join(out, "reconcile_report.json"), asdict(reconcile(wave, shot)))
 
     worst = max(identities.pohozaev_1, identities.pohozaev_2)
@@ -109,8 +123,7 @@ def cmd_spectrum(cfg: RunConfig, out: str) -> int:
             for k in range(3):
                 header.append(f"l_{tag}_{k}")
                 columns.append(vecs[:, k])
-        _write_csv(os.path.join(out, "eigenfunctions.csv"), header,
-                   ([_fmt(x) for x in row] for row in zip(*columns)))
+        _write_columns(os.path.join(out, "eigenfunctions.csv"), header, columns)
     return EXIT_OK
 
 
@@ -125,14 +138,12 @@ def cmd_evolve(cfg: RunConfig, out: str) -> int:
     log.info("evolving to t=%g with dt=%g (lambda=%g)", cfg.t_final, cfg.dt, cfg.lambda_scale)
     trace = evolve_and_trace(params, u0, cfg.t_final, cfg.dt,
                              record_every=cfg.record_every)
-    _write_csv(os.path.join(out, "trace.csv"),
-               ["t", "V", "P", "mass", "energy", "gradnorm", "Lp1_norm"],
-               ([_fmt(x) for x in row] for row in zip(
-                   trace.times, trace.v, trace.p_values, trace.mass, trace.energy,
-                   trace.gradnorm, trace.lp1_norm)))
-    _write_csv(os.path.join(out, "final_state.csv"), ["rho", "re_u", "im_u"],
-               ([_fmt(r), _fmt(v.real), _fmt(v.imag)]
-                for r, v in zip(grid.nodes, trace.final_u)))
+    _write_columns(os.path.join(out, "trace.csv"),
+                   ["t", "V", "P", "mass", "energy", "gradnorm", "Lp1_norm"],
+                   [trace.times, trace.v, trace.p_values, trace.mass, trace.energy,
+                    trace.gradnorm, trace.lp1_norm])
+    _write_columns(os.path.join(out, "final_state.csv"), ["rho", "re_u", "im_u"],
+                   [grid.nodes, trace.final_u.real, trace.final_u.imag])
     _write_json(os.path.join(out, "evolution_summary.json"), {
         "blowup_flag": bool(trace.blowup_flag),
         "blowup_time": None if np.isnan(trace.blowup_time) else trace.blowup_time,

@@ -31,6 +31,7 @@ CONTRACTION_TOL = 1e-12
 MAX_INNER = 8
 BLOWUP_GRAD_FACTOR = 1e3     # gradient growth over its initial value that flags blow-up
 REFLECTION_GUARD = 1e-8      # relative mass beyond 0.9 r_max that halts a run
+MAX_STEPS = 10 ** 8          # the most steps a run may ask for: 10^4 times the default run's
 
 log = logging.getLogger(__name__)
 
@@ -152,7 +153,7 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
     variance plus gradient growth is the accepted signature).  Runs are also
     halted when relative tail mass beyond 0.9 r_max exceeds REFLECTION_GUARD,
     since the outer boundary is reflecting.  dt must be positive and finite,
-    t_final non-negative and finite, t_final / dt a finite number of steps,
+    t_final non-negative and finite, t_final / dt at most MAX_STEPS steps,
     and record_every a whole number at least 1.  One INFO line on this
     module's logger gives the steps taken, the solves and the halt reason.
     """
@@ -164,9 +165,9 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
         raise InvalidParameterError(f"t_final = {t_final} must be non-negative and finite")
     if not (record_every >= 1 and float(record_every).is_integer()):
         raise InvalidParameterError(f"record_every = {record_every} must be a whole number >= 1")
-    if not np.isfinite(t_final / dt):
+    if not t_final / dt <= MAX_STEPS:
         raise InvalidParameterError(
-            f"t_final / dt = {t_final} / {dt} is not a finite number of steps")
+            f"t_final / dt = {t_final} / {dt} asks for more than MAX_STEPS = {MAX_STEPS} steps")
     grid = u0.grid
     u = u0.values.astype(complex)
     stepper = CrankNicolson(params, grid, dt)

@@ -8,9 +8,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.integrate import solve_ivp  # unused; bound here because perfbench traces it by name
-from scipy.optimize import brentq
 
 from . import functionals
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
@@ -21,6 +18,14 @@ from .model import ModelParams, exists_window, omega_rescale
 from .spectral import morse_index
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    """scipy's `solve_ivp`, imported on first lookup; the benchmark's tracer binds it by name."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -347,17 +352,29 @@ def _shot_rhs(params: ModelParams):
     return rhs
 
 
-# The Dormand-Prince tableau of scipy's RK45, read once: C's nodes, A's lower
-# triangle, B's weights, E's error weights and P, the weights of the quartic
-# dense output in each step's stages.  B[1] and E[1] are zero, and
+# The Dormand-Prince tableau of scipy's RK45, as its source writes it (the same
+# fractions, so the same doubles; a test pins them to RK45's): C's nodes, A's
+# lower triangle, B's weights, E's error weights and P, the weights of the
+# quartic dense output in each step's stages.  B[1] and E[1] are zero, and
 # `_rk45_step` leaves out their terms, which is exact for finite stages.
-_C1, _C2, _C3, _C4, _C5 = RK45.C[1:].tolist()
-((_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43),
- (_A50, _A51, _A52, _A53, _A54)) = (row[:s] for s, row in enumerate(RK45.A.tolist()) if s)
-_B0, _B1, _B2, _B3, _B4, _B5 = RK45.B.tolist()
-_E0, _E1, _E2, _E3, _E4, _E5, _E6 = RK45.E.tolist()
-_P = np.array(RK45.P)
-_ERROR_EXPONENT = -1.0 / (RK45.error_estimator_order + 1)
+_C1, _C2, _C3, _C4, _C5 = 1/5, 3/10, 4/5, 8/9, 1.0
+_A10 = 1/5
+_A20, _A21 = 3/40, 9/40
+_A30, _A31, _A32 = 44/45, -56/15, 32/9
+_A40, _A41, _A42, _A43 = 19372/6561, -25360/2187, 64448/6561, -212/729
+_A50, _A51, _A52, _A53, _A54 = 9017/3168, -355/33, 46732/5247, 49/176, -5103/18656
+_B0, _B1, _B2, _B3, _B4, _B5 = 35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200,
+                                     -22/525, 1/40)
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_ERROR_EXPONENT = -1.0 / 5      # RK45's -1 / (error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -457,6 +474,8 @@ def _interpolant(path: list[tuple], component: int = 0):
 
 def _event_root(step: tuple, component: int) -> float:
     """The root of one component of a recorded step's interpolant, as solve_ivp finds events."""
+    from scipy.optimize import brentq
+
     eps = np.finfo(float).eps
     return brentq(_interpolant([step], component), step[0], step[1], xtol=4.0 * eps,
                   rtol=4.0 * eps)
@@ -480,6 +499,8 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     step that overflows, or falls below 10 ulp of rho, raises
     StiffnessFailureError.
     """
+    from scipy.integrate import RK45
+
     rhs = _shot_rhs(params)
     solver = RK45(rhs, float(r0), _series_start(params, beta, r0), float(r_end),
                   **_shot_tolerances(beta))
@@ -564,6 +585,8 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     accepted steps, the final bracket width relative to beta and the stop
     reason: 'hit' (a 'done' shot), 'bracket closed' or 'max_bisect'.
     """
+    from scipy.optimize import brentq
+
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
     if not (max_bisect >= 1 and float(max_bisect).is_integer()):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .discretization import LineGrid, Profile, RadialGrid
 from .exceptions import GridRangeError, InvalidParameterError, InvalidWindowError
@@ -93,6 +92,8 @@ def profile_evaluator(profile: Profile, a: float | None = None):
     extrapolation would then be unreliable.  Line profiles are not radial and
     are refused.
     """
+    from scipy.interpolate import PchipInterpolator
+
     if isinstance(profile.grid, LineGrid):
         raise InvalidParameterError(
             "interpolation needs a radial profile; rescale a line profile on its own grid")

@@ -105,6 +105,27 @@ def test_cli_out_of_range_number_exits_2(tmp_path, capsys, command, setting):
     assert payload["error"] == "invalid-parameter"
 
 
+def test_cli_evolve_refuses_too_many_steps(tmp_path, capsys):
+    # t_final / dt = 1e298 steps: refused before any step instead of running until killed
+    model_and_grid = ANCHOR.replace("n = 4096", "n = 256").split("[solver]")[0]
+    cfg = _write(tmp_path, model_and_grid + "[dynamics]\nt_final = 0.01\ndt = 1e-300\n")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "invalid-parameter"
+
+
+def test_column_writer_bytes_match_csv_writer(tmp_path, monkeypatch):
+    cli = importlib.import_module("degenls.cli")
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 0.1, -1.0 / 3.0])
+    columns = [special, np.arange(special.size, dtype=float) * np.pi, special[::-1].copy()]
+    header = ["x", "y", "z"]
+    cli._write_csv(str(tmp_path / "rows.csv"), header,
+                   ([cli._fmt(x) for x in row] for row in zip(*columns)))
+    monkeypatch.setattr(cli, "CSV_CHUNK", 3)    # rows cross chunk boundaries
+    cli._write_columns(str(tmp_path / "columns.csv"), header, columns)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_cli_groundstate_outputs(tmp_path, capsys):
     cfg = _write(tmp_path, ANCHOR)
     out = tmp_path / "gs"

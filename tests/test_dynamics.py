@@ -111,6 +111,23 @@ def test_evolve_refuses_out_of_range_numbers(evo_setup, t_final, dt, record_ever
         dl.evolve_and_trace(params, wave, t_final, dt, record_every=record_every)
 
 
+def test_evolve_refuses_more_than_max_steps_before_any_step(evo_setup, monkeypatch):
+    # dt = 1e-300 asks for 1e298 steps: refused before a stepper is built
+    params, _, wave = evo_setup
+    monkeypatch.setattr(degenls.dynamics, "CrankNicolson", None)
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-300)
+
+
+def test_evolve_takes_max_steps_and_refuses_one_more(evo_setup, monkeypatch):
+    params, _, wave = evo_setup
+    monkeypatch.setattr(degenls.dynamics, "MAX_STEPS", 10)
+    trace = dl.evolve_and_trace(params, wave, t_final=0.01, dt=1e-3)
+    assert trace.times.size == 11
+    with pytest.raises(InvalidParameterError, match="MAX_STEPS"):
+        dl.evolve_and_trace(params, wave, t_final=0.011, dt=1e-3)
+
+
 class _BandedReference(CrankNicolson):
     """The stepper with every sweep solved by `solve_banded` on the unfactored band."""
 
