@@ -79,11 +79,6 @@ NEWTON_MIN_STEP = 0.125     # the shortest damped Newton step tried
 # floors are 1e-20 to 2e-17, polishes that failed to converge stop at 1e-7 and above.
 FLOOR_BACKWARD_ERROR = 64.0 * np.finfo(float).eps
 RECONCILE_REL_TOL = 1e-3    # relative disagreement at which `reconcile` reports a mismatch
-# Shooting (`shoot_profile`).  The locate phase stops at LOCATE_RTOL of beta;
-# the replay shoots every midpoint within REPLAY_MARGIN of the located bracket,
-# well above the few-ulp band in which rounding sets a shot's class.
-LOCATE_RTOL = 2.0 ** -44
-REPLAY_MARGIN = 2.0 ** -44
 
 
 def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
@@ -546,44 +541,40 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
 def shoot_profile(params: ModelParams, grid: RadialGrid,
                   beta_bracket: tuple[float, float] | None = None,
                   max_bisect: int = 200) -> Profile:
-    """Profile by bisection on the central value beta = phi(0).
+    """Profile by a root search on the central value beta = phi(0).
 
     Integrates (phi, F = rho^{d-1+2a} phi') outward from a two-term origin
     series; overshoot = phi crosses zero, undershoot = F turns positive.  A
     shot that reaches r_max without either is 'done' when phi < 1e-6 beta
-    there and an undershoot otherwise (`_end_kind`); bisection stops at the
-    first 'done' shot, when the bracket closes to rounding, or after
-    max_bisect midpoints.  Every shot is `_classify_shot`: RK45 stepped on
-    floats.
+    there and an undershoot otherwise (`_end_kind`).  Every shot is
+    `_classify_shot`: RK45 stepped on floats, memoized by beta.
 
-    The bisection runs in two phases.  Locate: `brentq` on the signed miss
-    of each shot, +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an
-    undershoot and 0 for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a)
-    at the radius where the shot ended, closes the bracket to LOCATE_RTOL of
-    beta in at most max_bisect steps.  A shot off beta* by delta leaves the
-    decaying branch where delta e^{Lambda} meets e^{-Lambda}, so the miss is
-    close to linear in beta - beta* and the secant converges fast.  Replay:
-    the bisection from the first bracket, midpoint by midpoint, reads a
-    midpoint's class without a shot only when it lies more than REPLAY_MARGIN
-    of itself below the highest undershoot or above the lowest overshoot
-    (and outside every 'done' shot); any other midpoint is shot, once, as
-    every beta is.  Near beta* the class is set by rounding, which the margin
-    leaves to the shots, so the replay takes the plain bisection's midpoints,
-    classes and stop, and returns its beta.  A locate shot that fails ends
-    the locate phase; the replay then shoots what it cannot read.
+    From the bracket, `brentq` runs on the signed miss of each shot,
+    +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an undershoot and 0
+    for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a) at the radius where
+    the shot ended.  A shot off beta* by delta leaves the decaying branch
+    where delta e^{Lambda} meets e^{-Lambda}, so the miss is close to linear
+    in beta - beta* and the secant converges fast.  The search stops at a
+    'done' shot ('hit'), when its bracket closes to 4 eps of beta ('bracket
+    closed'), or after max_bisect steps ('max_bisect'), and returns its root.
+    Within a few ulp of beta* rounding sets a shot's class, so the root lies
+    as close to beta* as the classes can tell.  A locate shot that fails
+    leaves the search: the plain bisection then runs from the bracket,
+    midpoint by midpoint, with the same stops, so it fails only where a
+    bisection midpoint's shot fails.
 
-    Bracket, locate and replay shots are only classified; the chosen beta
-    is shot once more with its steps recorded, and the returned samples
-    follow RK45's dense output on those steps down to the graft point, the
-    lowest positive sample of that output, and continue with the
-    stretched-exponential tail exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The
-    ODE is radial, so the grid must be too.  max_bisect must be a whole
-    number at least 1.  A given beta_bracket, in either order, needs finite
-    ends above the constant solution omega^{1/(p-1)}; it is checked before
-    any shot.  One INFO line on this module's logger gives the locate shots,
-    the replayed midpoints and how many of them were shot, all shots, their
-    accepted steps, the final bracket width relative to beta and the stop
-    reason: 'hit' (a 'done' shot), 'bracket closed' or 'max_bisect'.
+    Bracket and search shots are only classified; the returned beta is shot
+    once more with its steps recorded, and the returned samples follow RK45's
+    dense output on those steps down to the graft point, the lowest positive
+    sample of that output, and continue with the stretched-exponential tail
+    exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
+    must be too.  max_bisect must be a whole number at least 1.  A given
+    beta_bracket, in either order, needs finite ends above the constant
+    solution omega^{1/(p-1)}; it is checked before any shot.  One INFO line
+    on this module's logger gives the locate shots (and whether the
+    bisection took over), all shots, their accepted steps, the final bracket
+    (the highest undershoot to the lowest overshoot) relative to beta and
+    the stop reason.
     """
     from scipy.optimize import brentq
 
@@ -634,7 +625,6 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
         if kind_lo == "over" or kind_hi == "under":
             lo, hi = hi, lo
 
-    # Locate
     bracket_shots = len(steps)
     rate = 2.0 * math.sqrt(omega) / (1.0 - params.a)
 
@@ -645,45 +635,39 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
         size = math.exp(-rate * shots[beta][1] ** (1.0 - params.a))
         return size if kind == "over" else -size
 
-    ends = sorted((lo, hi))
+    eps = np.finfo(float).eps
     try:
-        if (miss(ends[0]) < 0.0) != (miss(ends[1]) < 0.0):
-            brentq(miss, *ends, xtol=np.finfo(float).tiny, rtol=LOCATE_RTOL,
-                   maxiter=max_bisect, disp=False)
+        beta, search = brentq(miss, *sorted((lo, hi)), xtol=np.finfo(float).tiny,
+                              rtol=4.0 * eps, maxiter=max_bisect, full_output=True,
+                              disp=False)
     except StiffnessFailureError:
-        pass                             # the replay shoots what it cannot read
-    located = len(steps) - bracket_shots
-
-    # Replay
-    edges = [max((b for b, (k, _) in shots.items() if k == "under"), default=-math.inf),
-             min((b for b, (k, _) in shots.items() if k == "over"), default=math.inf),
-             *(b for b, (k, _) in shots.items() if k == "done")]
-    below, above = min(edges) * (1.0 - REPLAY_MARGIN), max(edges) * (1.0 + REPLAY_MARGIN)
-
-    stop = "max_bisect"
-    for replayed in range(1, max_bisect + 1):
-        beta = 0.5 * (lo + hi)
-        if beta in shots or below <= beta <= above:
+        how = f"{len(steps) - bracket_shots} locate shots before one failed, then bisection: "
+        stop = "max_bisect"
+        for _ in range(max_bisect):
+            beta = 0.5 * (lo + hi)
             kind = shoot(beta)
-        else:
-            kind = "under" if beta < below else "over"
-        if kind == "done":
-            stop = "hit"
-            break
-        if kind == "over":
-            hi = beta
-        else:
-            lo = beta
-        if hi - lo < 4.0 * np.finfo(float).eps * hi:
-            stop = "bracket closed"
-            break
+            if kind == "done":
+                stop = "hit"
+                break
+            if kind == "over":
+                hi = beta
+            else:
+                lo = beta
+            if hi - lo < 4.0 * eps * hi:
+                stop = "bracket closed"
+                break
+    else:
+        how = f"{len(steps) - bracket_shots} locate shots, "
+        stop = ("hit" if shots[beta][0] == "done" else
+                "bracket closed" if search.converged else "max_bisect")
+        lo = max((b for b, (k, _) in shots.items() if k == "under"), default=lo)
+        hi = min((b for b, (k, _) in shots.items() if k == "over"), default=hi)
 
     path: list[tuple] = []
     _classify_shot(params, beta, r0, r_end, path=path)
-    log.info("shooting at %s: %d locate shots, %d midpoints replayed (%d shot), %d shots"
-             " (%d classified, 1 dense), %d accepted steps, final bracket %.1e of beta,"
-             " stop: %s", params, located, replayed, len(steps) - bracket_shots - located,
-             len(steps) + 1, len(steps), sum(steps) + len(path), abs(hi - lo) / beta, stop)
+    log.info("shooting at %s: %s%d shots (%d classified, 1 dense), %d accepted steps,"
+             " final bracket %.1e of beta, stop: %s", params, how, len(steps) + 1,
+             len(steps), sum(steps) + len(path), abs(hi - lo) / beta, stop)
     values = _sample_shot(params, grid, path)
     return Profile(grid=grid, values=values, omega=omega,
                    residual=el_residual(params, grid, values), phi0=beta)
