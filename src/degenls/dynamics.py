@@ -25,7 +25,7 @@ from scipy.linalg import solve_banded  # unused; bound here because perfbench tr
 from . import functionals
 from .discretization import LineGrid, Profile, RadialGrid, assemble_operator, weighted_norm
 from .exceptions import FixedPointDivergenceError, InvalidParameterError
-from .model import ModelParams
+from .model import ModelParams, require_dimension
 
 CONTRACTION_TOL = 1e-12
 MAX_INNER = 8
@@ -159,6 +159,7 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
     """
     if not isinstance(u0, Profile):
         raise InvalidParameterError(f"u0 must be a Profile, got {type(u0).__name__}")
+    require_dimension(params, u0.grid)
     if not 0.0 < dt < np.inf:
         raise InvalidParameterError(f"dt = {dt} must be positive and finite")
     if not 0.0 <= t_final < np.inf:

@@ -17,7 +17,7 @@ import numpy as np
 from .discretization import (Profile, RadialGrid, SectorOperator, assemble_operator,
                              gradient_energy)
 from .exceptions import InvalidParameterError
-from .model import ModelParams, dilate
+from .model import ModelParams, dilate, require_dimension
 
 
 def mass_of(grid: RadialGrid, u: np.ndarray) -> float:
@@ -95,6 +95,7 @@ def pohozaev_coefficient(params: ModelParams) -> float:
 
 def evaluate_identities(params: ModelParams, profile: Profile) -> IdentityReport:
     """Pohozaev residuals (relative to the kinetic term), virial value, invariants."""
+    require_dimension(params, profile.grid)
     grid, u = profile.grid, profile.values
     op = assemble_operator(grid, params.a)
     kin = grid.measure * op.gradient_energy(u)

@@ -14,7 +14,7 @@ from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, asse
                              build_grid, build_line_grid, weighted_norm)
 from .exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
                          NonConvergenceError, StiffnessFailureError)
-from .model import ModelParams, exists_window, omega_rescale
+from .model import ModelParams, exists_window, omega_rescale, require_dimension
 from .spectral import morse_index
 
 log = logging.getLogger(__name__)
@@ -116,6 +116,7 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
     """
     if not 0.0 < tol < np.inf:
         raise InvalidParameterError(f"tol = {tol} must be positive and finite")
+    require_dimension(params, grid)
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
     full, op, seed = _flow_problem(grid, params.a)
@@ -580,6 +581,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
 
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
+    require_dimension(params, grid)
     if not (max_bisect >= 1 and float(max_bisect).is_integer()):
         raise InvalidParameterError(f"max_bisect = {max_bisect} must be a whole number >= 1")
     max_bisect = int(max_bisect)

@@ -46,6 +46,13 @@ class StabilityVerdict:
     verdict: str        # "Stable" | "Unstable" | "Degenerate"
 
 
+def require_dimension(params: ModelParams, grid: RadialGrid | LineGrid) -> None:
+    """Refuse a grid laid out in another dimension than params.d."""
+    if grid.d != params.d:
+        raise InvalidParameterError(
+            f"grid dimension {grid.d} does not match params dimension {params.d}")
+
+
 def exists_window(params: ModelParams) -> bool:
     """True iff 1/2 - 1/(p+1) < (1-a)/d, the sharp admissibility window."""
     return 0.5 - 1.0 / (params.p + 1.0) < (1.0 - params.a) / params.d
@@ -160,8 +167,7 @@ def omega_rescale(profile: Profile, params: ModelParams,
     frequency ratio, on the exactly rescaled grid or interpolated onto grid
     (`dilate`).
     """
-    if profile.grid.d != params.d:
-        raise InvalidParameterError("profile grid dimension does not match params")
+    require_dimension(params, profile.grid)
     a, p = params.a, params.p
     ratio = params.omega / profile.omega
     return dilate(profile, ratio ** (1.0 / (p - 1.0)), ratio ** (1.0 / (2.0 * (1.0 - a))),

@@ -3,32 +3,40 @@
 Two facts of the paper size a grid.  The wave decays like
 exp(-sqrt(omega) rho^{1-a}/(1-a)), which fixes the domain (`default_r_max`),
 and phi' carries a rho^{1-2a} layer at the origin, which fixes the grading.
-One rule grades every grid: `sweep_grading` on a radial grid, `line_grading`
-on the full line, which is laid out where a caller wants the Weinstein
-minimizer and the radial class misses it (`needs_line`).  `point_grid` lays
-out every grid; `sweep_grid` is one call of it.
+In s = rho^{1-a}/(1-a) both are the map's: the radial wave is the smooth,
+even radial wave of dimension D = d/(1-a), so a radial grid is graded to
+equal cells in s (`sweep_grading`).  The full line, laid out where a caller
+wants the Weinstein minimizer and the radial class misses it
+(`needs_line`), is graded by `line_grading`.  `point_grid` lays out every
+grid; `sweep_grid` is one call of it.
 
 The domain keeps two lengths, each for a measured reason:
 
 - `groundstate`, `spectrum` and `evolve` end it 12 decades down the
-  predicted tail: on the sweep's 7 decades the five d = 1, a = 1/4 points
-  raise NonConvergenceError at n = 131072 (floors 1.01-1.07e-8 > tol), and
-  an `evolve` run at (1, 0, 3), lambda = 0.5, N = 2048 halts on the
-  reflection guard at t = 0.001 instead of 4.83;
+  predicted tail: on the sweep's 7 decades four of the five d = 1, a = 1/4
+  line points raise NonConvergenceError at n = 131072 (floors
+  1.00-1.25e-8 > tol), and an `evolve` run at (1, 0, 3), lambda = 0.5,
+  N = 2048 halts on the reflection guard at t = 0.001 instead of 4.83;
 - `sweep` and the acceptance lattice end it 7 decades down
-  (SWEEP_TAIL_DECADES): its coarser cells pass the gate at 25 and 32
-  points at n = 16384 and 65536, against 19 and 29 on 12 decades.
+  (SWEEP_TAIL_DECADES): its coarser cells pass the gate at 26 points at
+  n = 16384, against 21 on 12 decades.
 
 Of the 33 admissible lattice points (radial grids, omega = 1), these pass
-the 1e-6 Pohozaev gate under the retired single-point grading (gamma = 2
-above a = 1/2, else 1; 12 decades) and under this rule on each domain:
+the 1e-6 Pohozaev gate under the three-branch grading this rule replaced
+(gamma 1 at a = 0, 1.5 up to a = 1/2, 3 above; in s its cells shrank toward
+the peak at the origin at a = 1/4, gamma(1-a) = 1.125, and grew toward it at
+1/2 and 3/4, gamma(1-a) = 0.75) and under this rule, on each domain:
 
-    n        retired grading   12 decades   7 decades
-    16384           9              19           25
-    65536          21              29           32
-    131072         24              32           28
+                three-branch grading      gamma = 1/(1-a)
+    n          12 decades   7 decades   12 decades   7 decades
+    16384          19           25          21           26
+    65536          29           32          33           33
+    131072         32           28          33           33
 
-At every n the points the retired grading passed still pass.
+Two points that passed at n = 16384 now miss: (2, .25, 3) on 12 decades
+(5.6e-7 -> 1.2e-6) and (3, .25, 2.5) on 7 decades (6.2e-7 -> 1.2e-6): at
+a = 1/4 the equal cells in s are coarser at the peak than the old ones.
+From n = 65536 every point passes on both domains.
 """
 
 from __future__ import annotations
@@ -52,16 +60,15 @@ def default_r_max(params: ModelParams, tail: float = 1e-12) -> float:
 
 
 def sweep_grading(a: float) -> float:
-    """Grading of every radial grid whose gamma is left out.
+    """Grading of every radial grid whose gamma is left out: 1/(1-a).
 
-    gamma = 1 keeps uniform cells at a = 0; mild grading resolves the
-    rho^{1-2a} derivative layer for 0 < a <= 1/2 without inflating the
-    stiffness of the near-origin rows (which costs eigenvalue accuracy);
-    strong grading is needed once phi' blows up at the origin (a > 1/2).
+    In s = rho^{1-a}/(1-a) the radial wave is Q(s), the smooth, even radial
+    wave in D = d/(1-a) dimensions, and both the rho^{1-2a} layer of phi' at
+    the origin and the tail exp(-sqrt(omega) s) are the map's.  Edges at
+    (j/N)^gamma r_max sit at (j/N)^{gamma(1-a)} s_max in s, so this gamma
+    spaces them equally in s: 1 at a = 0, 4/3 at 1/4, 2 at 1/2, 4 at 3/4.
     """
-    if a == 0.0:
-        return 1.0
-    return 1.5 if a <= 0.5 else 3.0
+    return 1.0 / (1.0 - a)
 
 
 def needs_line(params: ModelParams) -> bool:
@@ -77,13 +84,15 @@ def line_grading(a: float, n: int) -> float:
     """Grading of the full-line sweep grid with n cells on each side.
 
     Once a >= 1/2 the wave lives on one branch, a radial problem, and the
-    radial policy applies.  Below that the wave peaks off the origin, where
-    gamma = 1.5 cells are coarse: at n = 8192 the p = 7 wave misses the 1e-6
-    Pohozaev gate.  So the line is graded up to gamma = 2, but never so far
-    that its first cell, n^{-gamma} r_max, is smaller than that of gamma = 1.5
-    at n = 65536: finer first cells raise the rounding floor eps * max|diag|
-    of the minimizer residual and of the eigenvalues past their tolerances
-    (at n = 65536, gamma = 1.75 the flow no longer reaches its tolerance).
+    radial rule applies.  Below that the branches couple and the wave peaks
+    off the origin, where cells equal in s are coarse: at n = 8192 (7
+    decades) gamma = 4/3 misses the 1e-6 Pohozaev gate at p = 5 and 7
+    (1.5e-6, 2.3e-6), and gamma = 1.5 at p = 7.  So the line is graded up to
+    gamma = 2, but never so far that its first cell, n^{-gamma} r_max, is
+    smaller than that of gamma = 1.5 at n = 65536: finer first cells raise
+    the rounding floor eps * max|diag| of the minimizer residual and of the
+    eigenvalues past their tolerances (at n = 65536, gamma = 1.75 the flow no
+    longer reaches its tolerance).
     """
     if a >= 0.5:
         return sweep_grading(a)

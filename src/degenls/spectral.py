@@ -19,7 +19,8 @@ from . import functionals
 from .discretization import (LineGrid, Profile, SectorOperator, assemble_operator, weighted_inner,
                              weighted_norm)
 from .exceptions import EigensolverError, SingularLPlusError
-from .model import ModelParams, critical_power, is_degenerate, mass_scaling_exponent
+from .model import (ModelParams, critical_power, is_degenerate, mass_scaling_exponent,
+                    require_dimension)
 
 
 def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
@@ -321,6 +322,7 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     sectors run l = 0, 1, ... until `_last_sector`, so the counts are
     complete across sectors.
     """
+    require_dimension(params, profile.grid)
     grid, phi = profile.grid, profile.values
     tol_zero = _tol_zero(params, profile)
     sectors = []

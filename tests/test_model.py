@@ -108,3 +108,22 @@ def test_omega_rescale_range_error(anchor_params):
     target = dl.build_grid(1, 10.0, 256, 1.0)
     with pytest.raises(GridRangeError):
         dl.omega_rescale(src, anchor_params.with_omega(1.5), grid=target)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda params, wave: dl.omega_rescale(wave, params),
+    lambda params, wave: dl.evaluate_identities(params, wave),
+    lambda params, wave: dl.slope_and_classify(params, wave),
+    lambda params, wave: dl.evolve_and_trace(params, wave, 0.01, 0.001),
+    lambda params, wave: dl.minimize_weinstein(params, wave.grid),
+    lambda params, wave: dl.shoot_profile(params, wave.grid),
+], ids=["omega_rescale", "evaluate_identities", "slope_and_classify", "evolve_and_trace",
+        "minimize_weinstein", "shoot_profile"])
+def test_entry_points_refuse_a_grid_of_another_dimension(entry):
+    # The d = 1 sech wave read with d = 2 params: without the check
+    # evaluate_identities reports pohozaev_1 = 1.0001 and slope_and_classify
+    # the verdict "Degenerate", as if they were physics.
+    grid = dl.build_grid(1, 20.0, 1024, 1.0)
+    wave = dl.Profile(grid=grid, values=np.sqrt(2.0) / np.cosh(grid.nodes), omega=1.0)
+    with pytest.raises(InvalidParameterError, match="dimension"):
+        entry(dl.ModelParams(2, 0.0, 3.0, 1.0), wave)

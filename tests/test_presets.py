@@ -30,3 +30,19 @@ def test_one_grading_rule(d, a):
     assert (grid.r_max, grid.gamma) == (expected.r_max, expected.gamma)
     assert np.array_equal(grid.nodes, expected.nodes)
     assert np.array_equal(grid.volumes, expected.volumes)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.5, 0.75])
+def test_omitted_gamma_spaces_edges_equally_in_s(a):
+    # gamma = 1/(1-a) puts the edges (j/N)^gamma r_max at equal steps of
+    # s = rho^{1-a}/(1-a), on every radial grid and on the decoupled line.
+    n = 1024
+    grids = [point_grid(dl.ModelParams(d, a, 2.0, 1.0), n, 0.0, 0.0, minimizer=False)
+             for d in (1, 2, 3)]
+    if a >= 0.5:
+        line = point_grid(dl.ModelParams(1, a, 2.0, 1.0), n, 0.0, 0.0, minimizer=True)
+        assert isinstance(line, LineGrid)
+        grids.append(line.half)
+    for grid in grids:
+        s = grid.edges ** (1.0 - a) / (1.0 - a)
+        assert np.allclose(np.diff(s), s[-1] / n, rtol=1e-11, atol=0.0)

@@ -454,3 +454,16 @@ def test_eigen_path_matches_dense_reference(op, k, data):
     x = data.draw(st.floats(float(dense[0]) - 1.0, float(dense[min(8, dense.size - 1)]) + 1.0))
     assume(np.min(np.abs(dense - x)) > band)
     assert dl.morse_index(op, -x) == int(np.sum(dense < x))
+
+
+@pytest.mark.parametrize("d, a, p", [(2, 0.25, 2.0), (2, 0.25, 2.5), (2, 0.25, 3.0), (2, 0.25, 5.0),
+                                     (2, 0.5, 2.0), (2, 0.5, 2.5), (3, 0.25, 2.0), (3, 0.25, 2.5)])
+def test_sector_one_lies_above_its_band(wave_cache, d, a, p):
+    # Sector 1 of (d, a) is the D = d/(1-a) radial operator with barrier
+    # c_1 = (d-1)/(1-a)^2 in s, where barrier D-1 holds Q' in its kernel; the
+    # excess c_1 - (D-1) = a(d-2+a)/(1-a)^2 > 0 lifts the lowest eigenvalue
+    # off zero at every lattice point with d >= 2, a > 0.
+    params, wave = wave_cache(d, a, p)
+    sector = dl.slope_and_classify(params, wave).sectors[1]
+    assert (sector.n_plus, sector.kernel_plus) == (0, 0)
+    assert sector.lowest_plus > sector.tol
