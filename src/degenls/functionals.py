@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (Profile, RadialGrid, SectorOperator, assemble_operator,
+from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
                              gradient_energy)
 from .exceptions import InvalidParameterError
 from .model import ModelParams, dilate, require_dimension
@@ -114,7 +114,8 @@ def evaluate_identities(params: ModelParams, profile: Profile) -> IdentityReport
     )
 
 
-def l2_scale(profile: Profile, lam: float, grid: RadialGrid | None = None) -> Profile:
+def l2_scale(profile: Profile, lam: float,
+             grid: RadialGrid | LineGrid | None = None) -> Profile:
     """Mass-invariant dilation u_lam(x) = lam^{d/2} u(lam x).
 
     With grid=None the samples ride on the exactly contracted grid (radii

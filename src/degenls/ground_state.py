@@ -468,13 +468,104 @@ def _interpolant(path: list[tuple], component: int = 0):
     return value
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> tuple[float, bool]:
+    """A root of f between xa and xb by Brent's method, as scipy's `brentq`.
+
+    A transcription of scipy 1.17's C brentq (Brent 1973): the same tests
+    and arithmetic in the same order, so the same points are evaluated and
+    the same root is returned.  Returns the root and whether the bracket
+    closed to xtol + rtol |root| (or f hit 0) within maxiter steps; ends whose
+    values share a sign, or a NaN from f, raise ValueError.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:     # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:    # C's inf or nan, which the test below refuses
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
 def _event_root(step: tuple, component: int) -> float:
     """The root of one component of a recorded step's interpolant, as solve_ivp finds events."""
-    from scipy.optimize import brentq
-
     eps = np.finfo(float).eps
-    return brentq(_interpolant([step], component), step[0], step[1], xtol=4.0 * eps,
-                  rtol=4.0 * eps)
+    root, converged = _brentq(_interpolant([step], component), step[0], step[1],
+                              4.0 * eps, 4.0 * eps, 100)
+    if not converged:
+        raise RuntimeError(f"event root search failed to converge on [{step[0]}, {step[1]}]")
+    return root
+
+
+def _initial_step(rhs, t0: float, y0: float, y1: float, t_bound: float, direction: float,
+                  rtol: float, atol0: float, atol1: float) -> tuple[float, float, float]:
+    """f = rhs(t0, y) and the first step of scipy's RK45 from it, on floats.
+
+    The empirical choice of Hairer, Norsett and Wanner (sec. II.4) as scipy
+    1.17's `select_initial_step` makes it for an error estimator of order
+    4 and no maximum step, with its RMS norms.  Returns (f0, f1, h_abs).
+    """
+    f0, f1 = rhs(t0, (y0, y1))
+    interval_length = abs(t_bound - t0)
+    scale0, scale1 = atol0 + abs(y0) * rtol, atol1 + abs(y1) * rtol
+
+    def norm(x0, x1):     # scipy's RMS norm: its BLAS dot can round x0^2 + x1^2 otherwise
+        return float(np.linalg.norm((x0, x1))) / 2 ** 0.5
+
+    d0 = norm(y0 / scale0, y1 / scale1)
+    d1 = norm(f0 / scale0, f1 / scale1)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    g0, g1 = rhs(t0 + h0 * direction, (y0 + h0 * direction * f0, y1 + h0 * direction * f1))
+    d2 = norm((g0 - f0) / scale0, (g1 - f1) / scale1) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return f0, f1, min(100 * h0, h1, interval_length)
 
 
 def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
@@ -482,8 +573,8 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
                    exits: list[float] | None = None) -> str:
     """Integrate the flux system outward from central value beta and classify the shot.
 
-    One plain RK45 with the `_shot_tolerances` and float end points gives
-    scipy's initial step and f; every step is then `_rk45_step` on floats.
+    `_initial_step` gives f and scipy's first step for the `_shot_tolerances`;
+    every step is then `_rk45_step` on floats.
     Each step applies the sign tests of the two terminal events: phi falling
     to <= 0 from >= 0 is 'over', F rising to >= 0 from <= 0 is 'under'; a
     shot that reaches r_end with neither is classified by `_end_kind`.  A step
@@ -495,17 +586,18 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     step that overflows, or falls below 10 ulp of rho, raises
     StiffnessFailureError.
     """
-    from scipy.integrate import RK45
-
     rhs = _shot_rhs(params)
-    solver = RK45(rhs, float(r0), _series_start(params, beta, r0), float(r_end),
-                  **_shot_tolerances(beta))
-    t, t_bound, max_step = solver.t, solver.t_bound, solver.max_step
-    direction, rtol = float(solver.direction), float(solver.rtol)
-    atol0, atol1 = np.broadcast_to(solver.atol, 2).tolist()
-    phi, flux = solver.y.tolist()
-    f0, f1 = solver.f.tolist()
-    h_abs = float(solver.h_abs)
+    t, t_bound, max_step = float(r0), float(r_end), math.inf
+    direction = math.copysign(1.0, t_bound - t)
+    tolerances = _shot_tolerances(beta)
+    rtol, (atol0, atol1) = tolerances["rtol"], tolerances["atol"]
+    phi, flux = (float(v) for v in _series_start(params, beta, r0))
+    try:
+        f0, f1, h_abs = _initial_step(rhs, t, phi, flux, t_bound, direction, rtol, atol0,
+                                      atol1)
+    except OverflowError as exc:
+        raise StiffnessFailureError(
+            f"integrator overflowed at rho = {t!r} for beta = {beta!r}") from exc
     for taken in itertools.count(1):
         try:
             step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, direction, max_step,
@@ -550,7 +642,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     there and an undershoot otherwise (`_end_kind`).  Every shot is
     `_classify_shot`: RK45 stepped on floats, memoized by beta.
 
-    From the bracket, `brentq` runs on the signed miss of each shot,
+    From the bracket, `_brentq` runs on the signed miss of each shot,
     +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an undershoot and 0
     for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a) at the radius where
     the shot ended.  A shot off beta* by delta leaves the decaying branch
@@ -577,8 +669,6 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     (the highest undershoot to the lowest overshoot) relative to beta and
     the stop reason.
     """
-    from scipy.optimize import brentq
-
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
     require_dimension(params, grid)
@@ -639,9 +729,8 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
 
     eps = np.finfo(float).eps
     try:
-        beta, search = brentq(miss, *sorted((lo, hi)), xtol=np.finfo(float).tiny,
-                              rtol=4.0 * eps, maxiter=max_bisect, full_output=True,
-                              disp=False)
+        beta, converged = _brentq(miss, *sorted((lo, hi)), np.finfo(float).tiny, 4.0 * eps,
+                                  max_bisect)
     except StiffnessFailureError:
         how = f"{len(steps) - bracket_shots} locate shots before one failed, then bisection: "
         stop = "max_bisect"
@@ -661,7 +750,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     else:
         how = f"{len(steps) - bracket_shots} locate shots, "
         stop = ("hit" if shots[beta][0] == "done" else
-                "bracket closed" if search.converged else "max_bisect")
+                "bracket closed" if converged else "max_bisect")
         lo = max((b for b, (k, _) in shots.items() if k == "under"), default=lo)
         hi = min((b for b, (k, _) in shots.items() if k == "over"), default=hi)
 

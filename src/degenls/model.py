@@ -87,11 +87,54 @@ def classify_by_threshold(params: ModelParams) -> StabilityVerdict:
                             verdict="Stable" if sign > 0 else "Unstable")
 
 
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    """End slope of the PCHIP: the one-sided three-point estimate, kept in shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray):
+    """Monotone piecewise cubic through (x, y), as scipy 1.17's PchipInterpolator.
+
+    Fritsch-Carlson slopes: 0 at a node where the secants change sign or
+    one is 0, else their weighted harmonic mean; the end slopes are
+    `_pchip_end`.  Each cell holds the cubic Hermite coefficients c0..c3 of
+    CubicHermiteSpline, and a point takes the cell [x_i, x_{i+1}) it lies
+    in (the last cell up to and beyond x[-1], the first below x[0]) and sums
+    c3 + c2 s + c1 s^2 + c0 s^3 in s = rho - x_i in PPoly's order.  So every
+    value is the double scipy gives, with extrapolation.  Needs 3 nodes.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    dk = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dk[1:-1][same] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))[same]
+    dk[0] = _pchip_end(h[0], h[1], m[0], m[1])
+    dk[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (dk[:-1] + dk[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
+
+    def value(rho: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(x, rho, side="right") - 1, 0, x.size - 2)
+        s = rho - x[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    return value
+
+
 def profile_evaluator(profile: Profile, a: float | None = None):
     """Pointwise evaluator for a positive decaying profile.
 
     Monotone cubic interpolation of log(phi) between the first and last node
-    (preserves positivity and the decay tail); beyond the last node the
+    (preserves positivity and the decay tail; `_pchip`, scipy's PCHIP in
+    numpy, so no SciPy subpackage loads); beyond the last node the
     stretched-exponential continuation exp(-c rho^{1-a}) is grafted, anchored
     at the boundary value.  With a=None the tail exponent is fitted from the
     outermost nodes instead.  Raises GridRangeError when the boundary value is
@@ -99,8 +142,6 @@ def profile_evaluator(profile: Profile, a: float | None = None):
     extrapolation would then be unreliable.  Line profiles are not radial and
     are refused.
     """
-    from scipy.interpolate import PchipInterpolator
-
     if isinstance(profile.grid, LineGrid):
         raise InvalidParameterError(
             "interpolation needs a radial profile; rescale a line profile on its own grid")
@@ -108,7 +149,7 @@ def profile_evaluator(profile: Profile, a: float | None = None):
     if np.any(phi <= 0.0):
         raise InvalidParameterError("log interpolation needs a strictly positive profile")
     nodes = profile.grid.nodes
-    interp = PchipInterpolator(nodes, np.log(phi), extrapolate=True)
+    interp = _pchip(nodes, np.log(phi))
     r_last = nodes[-1]
     phi_last = phi[-1]
     peak = float(np.max(phi))
@@ -146,7 +187,8 @@ def dilate(profile: Profile, amp: float, stretch: float, omega: float,
     With grid=None they ride on the exactly rescaled grid (same cell layout,
     radii divided by stretch), which keeps every scaling law exact at the
     discrete level; passing a target grid interpolates onto it instead
-    (`profile_evaluator`, tail exponent 1 - a, fitted when a is None).
+    (`profile_evaluator`, tail exponent 1 - a, fitted when a is None), at
+    stretch |x| on a line: the even extension of the radial wave.
     """
     if grid is None:
         src = profile.grid
@@ -155,7 +197,7 @@ def dilate(profile: Profile, amp: float, stretch: float, omega: float,
                            residual=profile.residual)
         return Profile(grid=src.with_r_max(src.r_max / stretch), values=amp * profile.values,
                        omega=omega)
-    values = amp * profile_evaluator(profile, a)(stretch * grid.nodes)
+    values = amp * profile_evaluator(profile, a)(stretch * np.abs(grid.nodes))
     return Profile(grid=grid, values=values, omega=omega)
 
 

@@ -100,6 +100,20 @@ def test_omega_rescale_onto_grid_interpolates(anchor_wave, anchor_params):
     assert np.max(np.abs(out.values - exact)) < 1e-5
 
 
+@pytest.mark.parametrize("rescale", [
+    lambda wave, params, grid: dl.l2_scale(wave, 1.0, grid=grid),
+    lambda wave, params, grid: dl.omega_rescale(wave, params.with_omega(2.0), grid=grid),
+], ids=["l2_scale", "omega_rescale"])
+def test_rescale_onto_a_line_is_even(anchor_wave, anchor_params, rescale):
+    # a line target reads the radial wave at |x|: the right branch is the
+    # rescale onto the line's radial half, the left branch that mirrored
+    line = dl.build_line_grid(20.0, 1024)
+    on_line = rescale(anchor_wave, anchor_params, line).values
+    on_half = rescale(anchor_wave, anchor_params, line.half).values
+    assert on_line[line.branch(+1)].tolist() == on_half.tolist()
+    assert on_line[line.branch(-1)].tolist() == on_half[::-1].tolist()
+
+
 def test_omega_rescale_range_error(anchor_params):
     # a source truncated before its tail decays cannot cover a wider target
     src_grid = dl.build_grid(1, 5.0, 256, 1.0)
