@@ -13,12 +13,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from . import functionals
 from .discretization import (LineGrid, Profile, SectorOperator, assemble_operator, weighted_inner,
                              weighted_norm)
-from .exceptions import EigensolverError, SingularLPlusError
+from .exceptions import EigensolverError, InvalidParameterError, SingularLPlusError
 from .model import (ModelParams, critical_power, is_degenerate, mass_scaling_exponent,
                     require_dimension)
 
@@ -52,6 +52,35 @@ def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float, tol: 
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
+def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Number of eigenvalues <= x of the symmetric tridiagonal (diag, off): the
+    nonpositive pivots of T - xI = LDL^T (Sylvester's law of inertia).
+
+    LAPACK ?pttrf factors up to its first nonpositive pivot D_k; the sweep
+    resumes past it from the Schur complement d_{k+1} - x - e_k^2 / D_k, a
+    zero pivot read as -pivmin as LAPACK's `dlaebz` reads it.  So a count
+    costs one sweep and one ?pttrf call per eigenvalue at or below x, and
+    allocates two length-n arrays.  Pivots are read from the array ?pttrf
+    returns, which f2py may have copied.
+    """
+    pttrf = get_lapack_funcs("pttrf", dtype=float)
+    d, e = diag - x, off.copy()
+    start, held = 0, 0
+    while start < d.size - 1:          # f2py refuses the empty off-diagonal of a 1x1
+        pivots, _, info = pttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return held
+        held, k = held + 1, start + info - 1
+        if k == d.size - 1:
+            return held
+        pivot = pivots[info - 1]
+        if pivot == 0.0:
+            pivot = -np.finfo(float).tiny * max(1.0, float(np.max(off ** 2)))
+        d[k + 1] = (diag[k + 1] - x) - off[k] ** 2 / pivot
+        start = k + 1
+    return held + int(d[-1] <= 0.0)
+
+
 def _lower(op: SectorOperator) -> float:
     """min(V) less the band: below the spectrum, since the flux part A0 is positive
     semidefinite in the weighted inner product."""
@@ -61,22 +90,26 @@ def _lower(op: SectorOperator) -> float:
 class _Sturm:
     """Sturm counts and bisections on one operator's symmetric tridiagonal: the one eigen path.
 
-    Every LAPACK call is a select="v" bisection (`_bisect`) on a window above
-    `_lower`.  A count is such a call with a tolerance wider than its window,
-    which marks it converged before any bisection step, so it costs a few
-    LDL^T sweeps; a bisection (tol 0) resolves the eigenvalues in its window
-    to the band.  `known` keeps every count the caller took from the bottom
-    of the spectrum as an (x, number of eigenvalues <= x) pair, (lower, 0)
-    among them; `work` tallies the calls as "sturm_counts" and
+    A count is one LDL^T sweep (`_count_below`) at each end of its window,
+    or at its top alone from `_lower`, where no eigenvalue lies; a bisection
+    is a select="v" `stebz` call (`_bisect`, tol 0) that resolves the
+    eigenvalues in its window above `_lower` to the band.  `known` keeps
+    every count the caller took from the bottom of the spectrum as an (x,
+    number of eigenvalues <= x) pair, (lower, 0) among them; `work` tallies
+    the sweeps' counts as "sturm_counts" and the LAPACK calls as
     "bisections", and may be shared by several operators' paths.  A
     full-line operator whose branches decouple (a >= 1/2) has a centre link
-    of exactly 0, where LAPACK splits the matrix: its spectrum is the union
-    of the two branches', each eigenvector vanishing on the other branch.
+    of exactly 0, where the pivots restart and LAPACK splits the matrix: its
+    spectrum is the union of the two branches', each eigenvector vanishing
+    on the other branch.  A non-finite entry raises InvalidParameterError: a
+    sweep would read a NaN pivot as positive and count too few.
     """
 
     def __init__(self, op: SectorOperator, work: Counter | None = None):
         self.grid = op.grid
         self.diag, self.off = op.sym_tridiagonal()
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
+            raise InvalidParameterError("the operator has a non-finite entry")
         self.band, self.lower = _band(op), _lower(op)
         self.known = [(self.lower, 0)]
         self.work = Counter() if work is None else work
@@ -94,7 +127,8 @@ class _Sturm:
         if hi <= lo:
             return 0
         self.work["sturm_counts"] += 1
-        return int(_bisect(self.diag, self.off, lo, hi, tol=2.0 * (hi - lo)).size)
+        below = 0 if lo == self.lower else _count_below(self.diag, self.off, lo)
+        return _count_below(self.diag, self.off, hi) - below
 
     def _window(self, k: int) -> float:
         """Upper end of a window that holds the k smallest eigenvalues and, where
@@ -104,7 +138,7 @@ class _Sturm:
         a fraction of the unit frequency; any start is correct) until the
         window holds k; then bisects its top by counts until it holds no more
         than k, or the candidates are closer than the band.  Each extra
-        eigenvalue would cost a full bisection, a count only a few sweeps.
+        eigenvalue would cost a full bisection, a count one LDL^T sweep.
         """
         below = max(x for x, held in self.known if held < k)
         enough = [(x, held) for x, held in self.known if held >= k]
@@ -180,7 +214,7 @@ class SectorCounts:
     lowest_plus: float
     lowest_minus: float
     tol: float              # kernel band of the counts, also the accuracy of the eigenvalues
-    sturm_counts: int       # LAPACK counts made on the sector's L+ and L-
+    sturm_counts: int       # Sturm counts (?pttrf sweeps) made on the sector's L+ and L-
     bisections: int         # LAPACK bisections made on the sector's L+ and L-
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -360,9 +361,10 @@ def test_non_wave_minus_mode_is_bisected():
 
 def test_classification_work_is_counted(anchor_wave, anchor_params, monkeypatch):
     # no eigenvectors, one bisection per operator, each returning only the
-    # eigenvalue it reports; the per-sector tallies are the calls made
-    calls = []
-    original = spectral.eigh_tridiagonal
+    # eigenvalue it reports, and no count through LAPACK's bisection; the
+    # per-sector tallies are the calls made
+    calls, sweeps = [], []
+    original, count_below = spectral.eigh_tridiagonal, spectral._count_below
 
     def spy(*args, **kwargs):
         bound = inspect.signature(original).bind(*args, **kwargs)
@@ -371,14 +373,20 @@ def test_classification_work_is_counted(anchor_wave, anchor_params, monkeypatch)
         calls.append((bound.arguments["eigvals_only"], bound.arguments["tol"], out.size))
         return out
 
+    def sweep_spy(diag, off, x):
+        sweeps.append(x)
+        return count_below(diag, off, x)
+
     monkeypatch.setattr(spectral, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(spectral, "_count_below", sweep_spy)
     report = dl.slope_and_classify(anchor_params, anchor_wave)
     assert all(only for only, _, _ in calls)
+    assert all(tol == 0.0 for _, tol, _ in calls)
     bisections = [size for _, tol, size in calls if tol == 0.0]
     assert len(bisections) == 2 * len(report.sectors)
     assert set(bisections) == {1}
     assert sum(s.bisections for s in report.sectors) == len(bisections)
-    assert sum(s.sturm_counts for s in report.sectors) == len(calls) - len(bisections)
+    assert sum(s.sturm_counts for s in report.sectors) == len(sweeps)
 
 
 def test_inconsistent_bisection_raises(anchor_wave, anchor_params, monkeypatch):
@@ -467,3 +475,76 @@ def test_sector_one_lies_above_its_band(wave_cache, d, a, p):
     sector = dl.slope_and_classify(params, wave).sectors[1]
     assert (sector.n_plus, sector.kernel_plus) == (0, 0)
     assert sector.lowest_plus > sector.tol
+
+
+def test_non_finite_operator_raises(anchor_wave, anchor_params):
+    # a NaN pivot compares as positive, so a sweep would count too few:
+    # the operator is refused before any count
+    values = anchor_wave.values.copy()
+    values[values.size // 2] = np.nan
+    profile = dataclasses.replace(anchor_wave, values=values)
+    op = dl.assemble_linearized(anchor_params, profile, 0, +1)
+    with pytest.raises(ValueError):
+        dl.morse_index(op, 1e-8)
+    with pytest.raises(ValueError):
+        dl.eigenvalues(op, 1)
+    with pytest.raises(ValueError):
+        dl.slope_and_classify(anchor_params, profile)
+
+
+def _dense_spectrum(op):
+    diag, off = op.sym_tridiagonal()
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _dense_count(op, x):
+    """morse_index(op, -x), checked against the dense spectrum with x more
+    than the band away from every eigenvalue."""
+    dense = _dense_spectrum(op)
+    assert np.min(np.abs(dense - x)) > 4.0 * np.finfo(float).eps * np.max(np.abs(op.diag))
+    held = int(np.sum(dense < x))
+    assert dl.morse_index(op, -x) == held
+    return held
+
+
+def test_count_through_a_zero_pivot():
+    # the shift equals a diagonal entry: the first pivot, and on a decoupled
+    # line the first one past the zero centre link, is exactly 0
+    potential = 5.0 * np.random.default_rng(3).standard_normal(64)
+    op = dl.assemble_operator(dl.build_grid(1, 10.0, 64), 0.0, 0, potential=potential)
+    _dense_count(op, op.diag[0])
+    line = dl.assemble_operator(dl.build_line_grid(12.0, 64, 1.5), 0.75, 0,
+                                potential=np.concatenate([potential[::-1], potential]))
+    _, off = line.sym_tridiagonal()
+    (centre,) = np.flatnonzero(off == 0.0)
+    _dense_count(line, line.diag[0])
+    _dense_count(line, line.diag[centre + 1])
+
+
+@pytest.mark.parametrize("wells, held", [([-1], 1), ([-2], 1), ([-2, -1], 2)])
+def test_count_with_a_nonpositive_last_pivot(wells, held):
+    # deep wells in the outermost cells make the last pivots nonpositive: the
+    # sweep resumes onto a 1x1 remainder, or ends on its last pivot
+    potential = np.zeros(32)
+    potential[wells] = -1e3
+    op = dl.assemble_operator(dl.build_grid(1, 20.0, 32), 0.0, 0, potential=potential)
+    assert _dense_count(op, -1.0) == held
+
+
+def test_count_on_the_decoupled_line():
+    # the zero centre link restarts the pivots: the count is the two branches'
+    g = dl.build_line_grid(12.0, 64, 1.5)
+    potential = 20.0 * np.random.default_rng(2).standard_normal(g.n)
+    op = dl.assemble_operator(g, 0.75, 0, potential=potential)
+    assert op.decoupled
+    dense = _dense_spectrum(op)
+    for k in (1, 4, 9):
+        assert _dense_count(op, 0.5 * (dense[k - 1] + dense[k])) == k
+
+
+def test_count_past_a_hundred_eigenvalues():
+    # a wide, deep well: one ?pttrf call per eigenvalue below the shift
+    grid = dl.build_grid(1, 20.0, 512)
+    op = dl.assemble_operator(grid, 0.0, 0, potential=np.where(grid.nodes < 10.0, -1e4, 0.0))
+    dense = _dense_spectrum(op)
+    assert _dense_count(op, 0.5 * (dense[149] + dense[150])) == 150
