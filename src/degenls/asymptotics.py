@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,32 +58,24 @@ def _fit_at_power(log_rho: np.ndarray, ell_c: np.ndarray, ss_tot: float, q: floa
     return -slope, ss_res, r2
 
 
-def fit_decay(profile: Profile, params: ModelParams,
-              window: tuple[float, float] | None = None) -> DecayFit:
-    """Two-stage tail fit on [0.4, 0.9] r_max by default.
+def fit_decay(profile: Profile, params: ModelParams) -> DecayFit:
+    """Two-stage tail fit on the window [0.4, 0.9] r_max.
 
     Stage one scans the exponent q over a grid and refines the best value by
     parabolic interpolation of the misfit; stage two refits the rate at the
     fixed exponent q = 1 - a predicted by the Agmon weight.  Each fit is the
     closed-form least-squares line in x = rho^q, on log rho taken and log phi
     centred once for all of them.  The last 10% of the grid is excluded as
-    Dirichlet-contaminated: an upper end beyond 0.9 r_max, +inf included, is
-    clipped there.  A non-finite lower end, or an upper end that is NaN or
-    -inf, is refused.
+    Dirichlet-contaminated.  Fewer than 32 positive samples in the window
+    raise WindowTooShortError.
     """
     grid = profile.grid
-    if window is None:
-        window = (0.4 * grid.r_max, 0.9 * grid.r_max)
-    lo, hi = window
-    if not (math.isfinite(lo) and (math.isfinite(hi) or hi == math.inf)):
-        raise InvalidParameterError(
-            f"fit window {window} needs a finite lower end and a finite or +inf upper end")
-    hi = min(hi, 0.9 * grid.r_max)
+    lo, hi = 0.4 * grid.r_max, 0.9 * grid.r_max
     mask = (grid.nodes >= lo) & (grid.nodes <= hi) & (profile.values > 0.0)
     rho, logphi = grid.nodes[mask], np.log(profile.values[mask])
     if rho.size < 32:
         raise WindowTooShortError(
-            f"only {rho.size} usable nodes in the fit window {window}")
+            f"only {rho.size} usable nodes in the fit window {(lo, hi)}")
     log_rho = np.log(rho)
     ell_c = logphi - logphi.mean()
     ss_tot = float(np.dot(ell_c, ell_c))

@@ -199,6 +199,14 @@ def _line_flux(grid: LineGrid, a: float) -> np.ndarray:
     return np.concatenate((side[::-1], [centre], side))
 
 
+def _require_fields(grid: RadialGrid | LineGrid, *fields: np.ndarray) -> None:
+    """Refuse a field not sampled at the grid's nodes, where NumPy would broadcast or raise."""
+    for u in fields:
+        if np.shape(u) != grid.nodes.shape:
+            raise InvalidParameterError(
+                f"field of shape {np.shape(u)} does not match the grid's {grid.nodes.shape}")
+
+
 @dataclass
 class SectorOperator:
     """Tridiagonal form of -div(|x|^{2a} grad) + potential on one sector.
@@ -253,8 +261,7 @@ class SectorOperator:
         gradient energy).  On a line grid the interior edges include the centre
         link, so this is integral |x|^{2a} |u'|^2 dx over R.
         """
-        if u.shape != self.grid.nodes.shape:
-            raise InvalidParameterError("field length does not match the grid")
+        _require_fields(self.grid, u)
         return float(np.sum(self.flux[1:-1] * np.abs(np.diff(u)) ** 2))
 
     def sym_tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +327,14 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
 
 def weighted_inner(grid: RadialGrid | LineGrid, u: np.ndarray, v: np.ndarray) -> float:
     """<u, v>_w = sum_i w_i u_i conj(v_i) (real result for real inputs)."""
-    if u.shape != grid.nodes.shape or v.shape != grid.nodes.shape:
-        raise InvalidParameterError("field length does not match the grid")
+    _require_fields(grid, u, v)
     val = np.sum(grid.volumes * u * np.conjugate(v))
     return float(val.real) if np.iscomplexobj(val) else float(val)
 
 
 def weighted_norm(grid: RadialGrid | LineGrid, u: np.ndarray) -> float:
+    """|u|_w = sqrt(sum_i w_i |u_i|^2)."""
+    _require_fields(grid, u)
     return float(np.sqrt(np.sum(grid.volumes * np.abs(u) ** 2)))
 
 

@@ -27,7 +27,7 @@ class NonConvergenceError(DegenlsError, RuntimeError):
 
 
 class BracketInvalidError(DegenlsError, ValueError):
-    """Shooting bracket endpoints classify identically (or hit the constant-solution degeneracy)."""
+    """Shooting found no overshoot in 64 doublings of the central value beta."""
 
 
 class StiffnessFailureError(DegenlsError, RuntimeError):

@@ -14,19 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
-                             gradient_energy)
+from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, _require_fields,
+                             assemble_operator, gradient_energy)
 from .exceptions import InvalidParameterError
 from .model import ModelParams, dilate, require_dimension
 
 
 def mass_of(grid: RadialGrid, u: np.ndarray) -> float:
     """integral |u|^2 dx."""
+    _require_fields(grid, u)
     return grid.measure * float(np.sum(grid.volumes * np.abs(u) ** 2))
 
 
 def lp_power_of(grid: RadialGrid, u: np.ndarray, q: float) -> float:
     """integral |u|^q dx."""
+    _require_fields(grid, u)
     return grid.measure * float(np.sum(grid.volumes * np.abs(u) ** q))
 
 
@@ -60,6 +62,7 @@ def virial_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
 
 def variance_of(params: ModelParams, grid: RadialGrid, u: np.ndarray) -> float:
     """Weighted variance integral |x|^{2(1-a)} |u|^2 dx."""
+    _require_fields(grid, u)
     weight = np.abs(grid.nodes) ** (2.0 * (1.0 - params.a))
     return grid.measure * float(np.sum(grid.volumes * weight * np.abs(u) ** 2))
 

@@ -374,12 +374,12 @@ _ERROR_EXPONENT = -1.0 / 5      # RK45's -1 / (error_estimator_order + 1)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
-               rtol, atol0, atol1):
+def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, rtol, atol):
     """One accepted step of scipy's RK45 for a two-component system, on Python floats.
 
-    The step control is RK45's: h_abs clipped to [10 ulp of t, max_step],
-    the RMS error norm, safety 0.9, factor bounds 0.2 and 10,
+    The step control is RK45's for a solver that steps toward larger t with
+    no maximum step and one atol for both components: h_abs raised to 10
+    ulp of t, the RMS error norm, safety 0.9, factor bounds 0.2 and 10,
     `_ERROR_EXPONENT`, no growth right after a rejection, and a step that
     falls below 10 ulp of t fails.  Each stage sum runs over the tableau's
     nonzero entries in RK45's left-to-right order.  rhs(t, (y0, y1)) returns
@@ -388,10 +388,8 @@ def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
     stages of each component (the last is the right-hand side at the new
     point) and the tries it took; None when the step failed.
     """
-    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-    if h_abs > max_step:
-        h_abs = max_step
-    elif h_abs < min_step:
+    min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+    if h_abs < min_step:
         h_abs = min_step
     rejected = False
     attempts = 0
@@ -399,8 +397,8 @@ def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
         if h_abs < min_step:
             return None
         attempts += 1
-        t_new = t + h_abs * direction
-        if direction * (t_new - t_bound) > 0:
+        t_new = t + h_abs
+        if t_new > t_bound:
             t_new = t_bound
         h = t_new - t
         h_abs = abs(h)
@@ -420,9 +418,9 @@ def _rk45_step(rhs, t, y0, y1, f0, f1, h_abs, t_bound, direction, max_step,
         n1 = y1 + (f1 * _B0 + v2 * _B2 + v3 * _B3 + v4 * _B4 + v5 * _B5) * h
         u6, v6 = rhs(t + h, (n0, n1))
         x0 = ((f0 * _E0 + u2 * _E2 + u3 * _E3 + u4 * _E4 + u5 * _E5 + u6 * _E6) * h
-              / (atol0 + max(abs(y0), abs(n0)) * rtol))
+              / (atol + max(abs(y0), abs(n0)) * rtol))
         x1 = ((f1 * _E0 + v2 * _E2 + v3 * _E3 + v4 * _E4 + v5 * _E5 + v6 * _E6) * h
-              / (atol1 + max(abs(y1), abs(n1)) * rtol))
+              / (atol + max(abs(y1), abs(n1)) * rtol))
         error_norm = math.sqrt(x0 * x0 + x1 * x1) / math.sqrt(2.0)
         if error_norm < 1:
             if error_norm == 0:
@@ -540,17 +538,18 @@ def _event_root(step: tuple, component: int) -> float:
     return root
 
 
-def _initial_step(rhs, t0: float, y0: float, y1: float, t_bound: float, direction: float,
-                  rtol: float, atol0: float, atol1: float) -> tuple[float, float, float]:
+def _initial_step(rhs, t0: float, y0: float, y1: float, t_bound: float,
+                  rtol: float, atol: float) -> tuple[float, float, float]:
     """f = rhs(t0, y) and the first step of scipy's RK45 from it, on floats.
 
     The empirical choice of Hairer, Norsett and Wanner (sec. II.4) as scipy
     1.17's `select_initial_step` makes it for an error estimator of order
-    4 and no maximum step, with its RMS norms.  Returns (f0, f1, h_abs).
+    4, a solver that steps toward larger t with no maximum step and one atol
+    for both components, with its RMS norms.  Returns (f0, f1, h_abs).
     """
     f0, f1 = rhs(t0, (y0, y1))
     interval_length = abs(t_bound - t0)
-    scale0, scale1 = atol0 + abs(y0) * rtol, atol1 + abs(y1) * rtol
+    scale0, scale1 = atol + abs(y0) * rtol, atol + abs(y1) * rtol
 
     def norm(x0, x1):     # scipy's RMS norm: its BLAS dot can round x0^2 + x1^2 otherwise
         return float(np.linalg.norm((x0, x1))) / 2 ** 0.5
@@ -559,7 +558,7 @@ def _initial_step(rhs, t0: float, y0: float, y1: float, t_bound: float, directio
     d1 = norm(f0 / scale0, f1 / scale1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    g0, g1 = rhs(t0 + h0 * direction, (y0 + h0 * direction * f0, y1 + h0 * direction * f1))
+    g0, g1 = rhs(t0 + h0, (y0 + h0 * f0, y1 + h0 * f1))
     d2 = norm((g0 - f0) / scale0, (g1 - f1) / scale1) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -587,21 +586,18 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     StiffnessFailureError.
     """
     rhs = _shot_rhs(params)
-    t, t_bound, max_step = float(r0), float(r_end), math.inf
-    direction = math.copysign(1.0, t_bound - t)
+    t, t_bound = float(r0), float(r_end)
     tolerances = _shot_tolerances(beta)
-    rtol, (atol0, atol1) = tolerances["rtol"], tolerances["atol"]
+    rtol, atol = tolerances["rtol"], tolerances["atol"][0]     # one atol for both components
     phi, flux = (float(v) for v in _series_start(params, beta, r0))
     try:
-        f0, f1, h_abs = _initial_step(rhs, t, phi, flux, t_bound, direction, rtol, atol0,
-                                      atol1)
+        f0, f1, h_abs = _initial_step(rhs, t, phi, flux, t_bound, rtol, atol)
     except OverflowError as exc:
         raise StiffnessFailureError(
             f"integrator overflowed at rho = {t!r} for beta = {beta!r}") from exc
     for taken in itertools.count(1):
         try:
-            step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, direction, max_step,
-                              rtol, atol0, atol1)
+            step = _rk45_step(rhs, t, phi, flux, f0, f1, h_abs, t_bound, rtol, atol)
         except OverflowError as exc:
             raise StiffnessFailureError(
                 f"integrator overflowed past rho = {t!r} for beta = {beta!r}") from exc
@@ -620,7 +616,7 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
         if over or under:
             kind = "over" if over else "under"
             break
-        if direction * (t_new - t_bound) >= 0:
+        if t_new >= t_bound:
             kind = _end_kind(phi_new, beta)
             break
         t, phi, flux, f0, f1 = t_new, phi_new, flux_new, k0[6], k1[6]
@@ -631,9 +627,7 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     return kind
 
 
-def shoot_profile(params: ModelParams, grid: RadialGrid,
-                  beta_bracket: tuple[float, float] | None = None,
-                  max_bisect: int = 200) -> Profile:
+def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) -> Profile:
     """Profile by a root search on the central value beta = phi(0).
 
     Integrates (phi, F = rho^{d-1+2a} phi') outward from a two-term origin
@@ -642,32 +636,32 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
     there and an undershoot otherwise (`_end_kind`).  Every shot is
     `_classify_shot`: RK45 stepped on floats, memoized by beta.
 
-    From the bracket, `_brentq` runs on the signed miss of each shot,
-    +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an undershoot and 0
-    for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a) at the radius where
-    the shot ended.  A shot off beta* by delta leaves the decaying branch
-    where delta e^{Lambda} meets e^{-Lambda}, so the miss is close to linear
-    in beta - beta* and the secant converges fast.  The search stops at a
-    'done' shot ('hit'), when its bracket closes to 4 eps of beta ('bracket
-    closed'), or after max_bisect steps ('max_bisect'), and returns its root.
-    Within a few ulp of beta* rounding sets a shot's class, so the root lies
-    as close to beta* as the classes can tell.  A locate shot that fails
-    leaves the search: the plain bisection then runs from the bracket,
-    midpoint by midpoint, with the same stops, so it fails only where a
-    bisection midpoint's shot fails.
+    The bracket's upper end doubles from 2 omega^{1/(p-1)}, twice the
+    constant solution, until a shot overshoots (BracketInvalidError after 64
+    doublings).  From the bracket, `_brentq` runs on the signed miss of each
+    shot, +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an
+    undershoot and 0 for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a)
+    at the radius where the shot ended.  A shot off beta* by delta leaves the
+    decaying branch where delta e^{Lambda} meets e^{-Lambda}, so the miss is
+    close to linear in beta - beta* and the secant converges fast.  Within a
+    few ulp of beta* rounding sets a shot's class, so the root lies as close
+    to beta* as the classes can tell.  A locate shot that fails leaves the
+    search: the plain bisection then runs from the bracket, midpoint by
+    midpoint, so it fails only where a bisection midpoint's shot fails.
+    Either search stops at a 'done' shot ('hit'), when its bracket closes to
+    4 eps of beta ('bracket closed'), or after max_bisect steps
+    ('max_bisect'); Brent returns its root, the bisection its last midpoint.
 
     Bracket and search shots are only classified; the returned beta is shot
     once more with its steps recorded, and the returned samples follow RK45's
     dense output on those steps down to the graft point, the lowest positive
     sample of that output, and continue with the stretched-exponential tail
     exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
-    must be too.  max_bisect must be a whole number at least 1.  A given
-    beta_bracket, in either order, needs finite ends above the constant
-    solution omega^{1/(p-1)}; it is checked before any shot.  One INFO line
-    on this module's logger gives the locate shots (and whether the
+    must be too.  max_bisect must be a whole number at least 1.  One INFO
+    line on this module's logger gives the locate shots (and whether the
     bisection took over), all shots, their accepted steps, the final bracket
-    (the highest undershoot to the lowest overshoot) relative to beta and
-    the stop reason.
+    (the highest undershoot to the lowest overshoot shot) relative to beta
+    and the stop reason.
     """
     if isinstance(grid, LineGrid):
         raise InvalidParameterError("shooting integrates the radial ODE; pass a radial grid")
@@ -692,30 +686,15 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
             shots[beta] = kind, exits[0]
         return shots[beta][0]
 
-    if beta_bracket is None:
-        lo = beta_fixed * (1.0 + 1e-6)
-        hi = 2.0 * beta_fixed
-        for _ in range(64):
-            if shoot(hi) == "over":
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise BracketInvalidError("could not find an overshooting upper endpoint")
+    lo = beta_fixed * (1.0 + 1e-6)
+    hi = 2.0 * beta_fixed
+    for _ in range(64):
+        if shoot(hi) == "over":
+            break
+        lo = hi
+        hi *= 2.0
     else:
-        lo, hi = beta_bracket
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise BracketInvalidError(f"beta_bracket = {beta_bracket} has a non-finite end")
-        if min(lo, hi) <= beta_fixed:
-            raise BracketInvalidError(
-                f"beta_bracket = {beta_bracket} has an end at or below the constant-solution"
-                f" value {beta_fixed} (phi^p(0) - omega phi(0) must be positive)")
-        kind_lo = shoot(lo)
-        kind_hi = shoot(hi)
-        if kind_lo == kind_hi and not (kind_lo == "done" or kind_hi == "done"):
-            raise BracketInvalidError(f"both endpoints classify as '{kind_lo}'")
-        if kind_lo == "over" or kind_hi == "under":
-            lo, hi = hi, lo
+        raise BracketInvalidError("could not find an overshooting upper endpoint")
 
     bracket_shots = len(steps)
     rate = 2.0 * math.sqrt(omega) / (1.0 - params.a)
@@ -729,30 +708,26 @@ def shoot_profile(params: ModelParams, grid: RadialGrid,
 
     eps = np.finfo(float).eps
     try:
-        beta, converged = _brentq(miss, *sorted((lo, hi)), np.finfo(float).tiny, 4.0 * eps,
-                                  max_bisect)
+        beta, converged = _brentq(miss, lo, hi, np.finfo(float).tiny, 4.0 * eps, max_bisect)
+        how = f"{len(steps) - bracket_shots} locate shots, "
     except StiffnessFailureError:
         how = f"{len(steps) - bracket_shots} locate shots before one failed, then bisection: "
-        stop = "max_bisect"
+        converged = False
         for _ in range(max_bisect):
             beta = 0.5 * (lo + hi)
             kind = shoot(beta)
             if kind == "done":
-                stop = "hit"
                 break
             if kind == "over":
                 hi = beta
             else:
                 lo = beta
             if hi - lo < 4.0 * eps * hi:
-                stop = "bracket closed"
+                converged = True
                 break
-    else:
-        how = f"{len(steps) - bracket_shots} locate shots, "
-        stop = ("hit" if shots[beta][0] == "done" else
-                "bracket closed" if converged else "max_bisect")
-        lo = max((b for b, (k, _) in shots.items() if k == "under"), default=lo)
-        hi = min((b for b, (k, _) in shots.items() if k == "over"), default=hi)
+    stop = "hit" if shots[beta][0] == "done" else "bracket closed" if converged else "max_bisect"
+    lo = max((b for b, (k, _) in shots.items() if k == "under"), default=lo)
+    hi = min((b for b, (k, _) in shots.items() if k == "over"), default=hi)
 
     path: list[tuple] = []
     _classify_shot(params, beta, r0, r_end, path=path)

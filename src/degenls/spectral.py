@@ -33,15 +33,6 @@ def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
     return assemble_operator(profile.grid, params.a, sector=sector, potential=potential)
 
 
-def _band(op: SectorOperator) -> float:
-    """4 eps max|diag|: the accuracy of op's computed eigenvalues and Sturm counts.
-
-    Bisection resolves eigenvalues to O(eps |T|), and strongly graded grids
-    push |T| high enough that zero modes read as +-1e-7.
-    """
-    return 4.0 * np.finfo(float).eps * float(np.max(np.abs(op.diag)))
-
-
 def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float, tol: float,
             vectors: bool = False):
     """LAPACK bisection (`stebz`, then `stein` for vectors) on the eigenvalues in (lower, upper]."""
@@ -81,23 +72,22 @@ def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return held + int(d[-1] <= 0.0)
 
 
-def _lower(op: SectorOperator) -> float:
-    """min(V) less the band: below the spectrum, since the flux part A0 is positive
-    semidefinite in the weighted inner product."""
-    return (0.0 if op.potential is None else float(np.min(op.potential))) - _band(op)
-
-
 class _Sturm:
     """Sturm counts and bisections on one operator's symmetric tridiagonal: the one eigen path.
 
-    A count is one LDL^T sweep (`_count_below`) at each end of its window,
-    or at its top alone from `_lower`, where no eigenvalue lies; a bisection
-    is a select="v" `stebz` call (`_bisect`, tol 0) that resolves the
-    eigenvalues in its window above `_lower` to the band.  `known` keeps
-    every count the caller took from the bottom of the spectrum as an (x,
-    number of eigenvalues <= x) pair, (lower, 0) among them; `work` tallies
-    the sweeps' counts as "sturm_counts" and the LAPACK calls as
-    "bisections", and may be shared by several operators' paths.  A
+    `band`, 4 eps max|diag|, is the accuracy of the computed eigenvalues and
+    counts: bisection resolves eigenvalues to O(eps |T|), and strongly
+    graded grids push |T| high enough that zero modes read as +-1e-7.
+    `lower`, min(V) less the band, lies below the spectrum, since the flux
+    part A0 is positive semidefinite in the weighted inner product.  A count
+    is one LDL^T sweep (`_count_below`) at each end of its window, or at its
+    top alone from `lower`, where no eigenvalue lies; a bisection is a
+    select="v" `stebz` call (`_bisect`, tol 0) that resolves the eigenvalues
+    in its window above `lower` to the band.  `known` keeps every count the
+    caller took from the bottom of the spectrum as an (x, number of
+    eigenvalues <= x) pair, (lower, 0) among them; `work` tallies the sweeps'
+    counts as "sturm_counts" and the LAPACK calls as "bisections", and may
+    be shared by several operators' paths.  A
     full-line operator whose branches decouple (a >= 1/2) has a centre link
     of exactly 0, where the pivots restart and LAPACK splits the matrix: its
     spectrum is the union of the two branches', each eigenvector vanishing
@@ -110,7 +100,8 @@ class _Sturm:
         self.diag, self.off = op.sym_tridiagonal()
         if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
             raise InvalidParameterError("the operator has a non-finite entry")
-        self.band, self.lower = _band(op), _lower(op)
+        self.band = 4.0 * np.finfo(float).eps * float(np.max(np.abs(self.diag)))
+        self.lower = (0.0 if op.potential is None else float(np.min(op.potential))) - self.band
         self.known = [(self.lower, 0)]
         self.work = Counter() if work is None else work
 
@@ -167,7 +158,7 @@ class _Sturm:
         it, so the bisection covers the eigenvalues asked for and, where the
         counts cannot pin them, the few below.  The window search's own
         counts only place `upper`: `eigenpairs` and `eigenvalues`, which count
-        nothing first, bisect from `_lower`.  A bracket that returns fewer
+        nothing first, bisect from `lower`.  A bracket that returns fewer
         eigenvalues than its counts say it holds raises EigensolverError.
         """
         k = min(k, self.grid.n)
@@ -271,8 +262,9 @@ def slope_solve(params: ModelParams, profile: Profile) -> tuple[np.ndarray, floa
     threshold, or an unexpected kernel.
     """
     op = assemble_linearized(params, profile, sector=0, sign=+1)
-    tol = max(_tol_zero(params, profile), _band(op))
-    _require_regular(_Sturm(op).count(-tol, tol), tol)
+    sturm = _Sturm(op)
+    tol = max(_tol_zero(params, profile), sturm.band)
+    _require_regular(sturm.count(-tol, tol), tol)
     v = op.factor()(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
@@ -363,9 +355,9 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
     for sector in itertools.count():
         # One operator at a time: L+ is released before L- is assembled.
         op = assemble_linearized(params, profile, sector, +1)
-        tol = max(tol_zero, _band(op))
         work = Counter()
         plus = _Sturm(op, work)
+        tol = max(tol_zero, plus.band)
         n_plus, n_nonpositive = plus.count(-np.inf, -tol), plus.count(-np.inf, tol)
         (lowest_plus,), _ = plus.values(1)
         if sector == 0:

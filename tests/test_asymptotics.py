@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import degenls as dl
-from degenls.exceptions import (InvalidParameterError, ResolutionInsufficientError,
-                                WindowTooShortError)
+from degenls.exceptions import ResolutionInsufficientError, WindowTooShortError
 from degenls.presets import default_r_max
+from tests.conftest import sech_values
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +32,15 @@ def test_decay_rate_scales_with_omega(decay_wave_a0):
     assert fit4.delta / fit1.delta == pytest.approx(2.0, rel=0.1)
 
 
-def test_decay_window_too_short(decay_wave_a0):
-    params, wave = decay_wave_a0
+def test_decay_window_too_short():
+    # 60 cells leave 30 nodes in [0.4, 0.9] r_max, below the 32 a fit needs
+    params = dl.ModelParams(1, 0.0, 3.0, 1.0)
+    grid = dl.build_grid(1, default_r_max(params), 60, 1.0)
+    inside = (grid.nodes >= 0.4 * grid.r_max) & (grid.nodes <= 0.9 * grid.r_max)
+    assert inside.sum() == 30
+    wave = dl.Profile(grid=grid, values=sech_values(grid.nodes), omega=1.0)
     with pytest.raises(WindowTooShortError):
-        dl.fit_decay(wave, params, window=(wave.grid.r_max * 0.899,
-                                           wave.grid.r_max * 0.9))
-
-
-@pytest.mark.parametrize("window", [(float("nan"), 10.0), (5.0, float("nan")),
-                                    (-float("inf"), 10.0), (5.0, -float("inf"))])
-def test_decay_window_must_be_finite(decay_wave_a0, window):
-    params, wave = decay_wave_a0
-    with pytest.raises(InvalidParameterError):
-        dl.fit_decay(wave, params, window=window)
-
-
-def test_decay_window_upper_end_clips_to_the_grid(decay_wave_a0):
-    params, wave = decay_wave_a0
-    fit = dl.fit_decay(wave, params, window=(5.0, float("inf")))
-    assert fit.window == (5.0, 0.9 * wave.grid.r_max)
-    assert fit == dl.fit_decay(wave, params, window=(5.0, 0.9 * wave.grid.r_max))
+        dl.fit_decay(wave, params)
 
 
 def _polyfit_decay(profile, params):

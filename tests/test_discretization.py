@@ -113,6 +113,28 @@ def test_weighted_inner_examples():
         dl.weighted_inner(g, one, np.ones(32))
 
 
+_FIELD_FUNCTIONS = {
+    "weighted_inner": lambda g, u: dl.weighted_inner(g, np.ones(g.n), u),
+    "weighted_inner-first": lambda g, u: dl.weighted_inner(g, u, np.ones(g.n)),
+    "weighted_norm": dl.weighted_norm,
+    "gradient_energy": lambda g, u: dl.assemble_operator(g, 0.25).gradient_energy(u),
+    "mass_of": dl.functionals.mass_of,
+    "lp_power_of": lambda g, u: dl.functionals.lp_power_of(g, u, 4.0),
+    "variance_of": lambda g, u: dl.functionals.variance_of(dl.ModelParams(3, 0.25, 2.0), g, u),
+}
+
+
+@pytest.mark.parametrize("length", [1, 10])
+@pytest.mark.parametrize("name", _FIELD_FUNCTIONS)
+def test_field_off_the_grid_is_refused(name, length):
+    # a length-1 field would broadcast over the 64 nodes, a length-10 one
+    # would reach NumPy's own shape error
+    g = dl.build_grid(3, 5.0, 64, 1.0)
+    with pytest.raises(InvalidParameterError, match="does not match the grid"):
+        _FIELD_FUNCTIONS[name](g, np.full(length, 2.0))
+    assert np.isfinite(_FIELD_FUNCTIONS[name](g, np.full(g.n, 2.0)))
+
+
 def test_gradient_energy_examples(anchor_grid):
     g = anchor_grid
     assert dl.gradient_energy(g, 0.4, np.full(g.n, 2.5)) == 0.0

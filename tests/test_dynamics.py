@@ -9,7 +9,7 @@ import degenls as dl
 import degenls.discretization
 import degenls.dynamics
 from degenls.dynamics import CrankNicolson
-from degenls.exceptions import InvalidParameterError
+from degenls.exceptions import FixedPointDivergenceError, InvalidParameterError
 from degenls.functionals import lp_power_of, mass_of
 from tests.conftest import band
 
@@ -85,6 +85,30 @@ def test_blowup_supercritical(wave_cache):
     assert np.all(trace.p_values <= bound + 1e-10)
     early = trace.energy[: int(0.8 * trace.energy.size)]
     assert np.max(np.abs(early - early[0])) / abs(early[0]) < 1e-4
+
+
+def test_gradient_growth_halts_a_run(evo_setup, monkeypatch):
+    # with the factor lowered to 2, the p = 7 run above the wave's mass halts
+    # on the gradient rule at the first record past twice the initial gradient
+    # (t = 0.365), before its midpoint iteration stalls (t = 0.441)
+    _, grid, _ = evo_setup
+    params = dl.ModelParams(1, 0.0, 7.0, 1.0)
+    u0 = dl.l2_scale(dl.ground_state(params, grid), 1.1, grid=grid)
+    monkeypatch.setattr(degenls.dynamics, "BLOWUP_GRAD_FACTOR", 2.0)
+    trace = dl.evolve_and_trace(params, u0, t_final=5.0, dt=1e-3)
+    assert trace.blowup_flag and trace.halt_reason == "gradient growth"
+    assert trace.blowup_time == trace.times[-1] == pytest.approx(0.365)
+    assert trace.gradnorm[-1] > 2.0 * trace.gradnorm[0] >= trace.gradnorm[-2]
+
+
+def test_growing_sweep_error_stops_the_iteration_early(evo_setup):
+    # at dt = 3 the second sweep's change is more than 4 times the first's:
+    # the step gives up after 2 solves, not MAX_INNER
+    params, grid, wave = evo_setup
+    stepper = CrankNicolson(params, grid, 3.0)
+    with pytest.raises(FixedPointDivergenceError):
+        stepper.step(wave.values.astype(complex))
+    assert stepper.solves == 2 < degenls.dynamics.MAX_INNER
 
 
 def test_subcritical_scaled_run_stays_bounded(evo_setup):

@@ -144,27 +144,21 @@ def test_shoot_profile_matches_oracle(anchor_shot, anchor_grid):
     assert np.max(np.abs(anchor_shot.values - exact)) < 1e-4
 
 
-def test_shoot_degenerate_bracket_rejected(anchor_params, anchor_grid):
-    # beta = omega^{1/(p-1)} is the constant solution of the flux system
-    with pytest.raises(BracketInvalidError):
-        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.0, 2.0))
-
-
-def test_shoot_bracket_same_classification_rejected(anchor_params, anchor_grid):
-    with pytest.raises(BracketInvalidError):
-        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=(1.01, 1.02))
-
-
-@pytest.mark.parametrize("bracket", [(1.8, 0.9), (float("nan"), 1.8), (1.2, float("inf"))])
-def test_shoot_refuses_bracket_before_any_shot(anchor_params, anchor_grid, monkeypatch,
-                                              bracket):
-    # beta_fixed = 1: a reversed bracket whose lower end lies below it, and a
-    # non-finite end, are refused before a shot is taken
+def test_shoot_without_an_overshoot_refuses_after_64_doublings(anchor_params, anchor_grid,
+                                                              monkeypatch):
+    # every shot undershoots: the upper end doubles from 2 beta_fixed = 2 and
+    # gives up after 64 shots, the last at 2^64
     shots = []
-    monkeypatch.setattr(gs, "_classify_shot", lambda *args, **kwargs: shots.append(args))
+
+    def under(params, beta, r0, r_end, steps=None, exits=None):
+        shots.append(beta)
+        exits.append(r_end)
+        return "under"
+
+    monkeypatch.setattr(gs, "_classify_shot", under)
     with pytest.raises(BracketInvalidError):
-        dl.shoot_profile(anchor_params, anchor_grid, beta_bracket=bracket)
-    assert shots == []
+        dl.shoot_profile(anchor_params, anchor_grid)
+    assert shots == [2.0 ** k for k in range(1, 65)]
 
 
 @pytest.mark.parametrize("max_bisect", [0, -1, 2.5, float("inf"), float("nan")])
@@ -198,15 +192,16 @@ def _float_steps(fun, t0, y0, t_bound, **options):
     """`_rk45_step` from the state a scipy RK45 made with these arguments starts in.
 
     Yields (t, h_abs, y, attempts) after each accepted step; stops at t_bound
-    or when a step fails.
+    or when a step fails.  The scipy solver must be one `_rk45_step` copies:
+    stepping outward, with no maximum step and one atol for both components.
     """
     solver = RK45(fun, t0, y0, t_bound, **options)
     t, (u, v), (f0, f1) = solver.t, solver.y.tolist(), solver.f.tolist()
     h_abs = float(solver.h_abs)
     atol0, atol1 = np.broadcast_to(solver.atol, 2).tolist()
+    assert solver.direction == 1 and solver.max_step == np.inf and atol0 == atol1
     while t != t_bound:
-        step = gs._rk45_step(fun, t, u, v, f0, f1, h_abs, t_bound, float(solver.direction),
-                             solver.max_step, float(solver.rtol), atol0, atol1)
+        step = gs._rk45_step(fun, t, u, v, f0, f1, h_abs, t_bound, float(solver.rtol), atol0)
         if step is None:
             return
         t, u, v, h_abs, k0, k1, attempts = step
@@ -382,8 +377,9 @@ def test_overflowing_shot_is_a_stiffness_failure():
     # abs(phi) ** (p - 1) overflows a float
     params = dl.ModelParams(1, 0.0, 7.0)
     grid = point_grid(params, 16384, 0.0, 0.0, minimizer=False)
+    r0, r_end = 0.5 * grid.nodes[0], grid.r_max
     with pytest.raises(StiffnessFailureError, match="overflowed"):
-        dl.shoot_profile(params, grid, beta_bracket=(1.1, 40.0))
+        gs._classify_shot(params, 40.0, r0, r_end)
 
 
 @pytest.mark.parametrize("rho_phi, rho_flux, kind", [(2.0, 2.5, "over"), (2.5, 2.0, "under")])

@@ -160,8 +160,21 @@ def test_initial_step_is_rk45s(d, a, p, omega):
     rhs = gs._shot_rhs(params)
     for beta in np.linspace(1.0001, 8.0, 9) * omega ** (1.0 / (p - 1.0)):
         y = gs._series_start(params, beta, r0)
-        ref = RK45(rhs, float(r0), y, float(r_end), **gs._shot_tolerances(beta))
         tolerances = gs._shot_tolerances(beta)
-        ours = gs._initial_step(rhs, float(r0), *map(float, y), float(r_end), 1.0,
-                                tolerances["rtol"], *tolerances["atol"])
+        ref = RK45(rhs, float(r0), y, float(r_end), **tolerances)
+        atol0, atol1 = tolerances["atol"]
+        assert ref.direction == 1 and ref.max_step == np.inf and atol0 == atol1
+        ours = gs._initial_step(rhs, float(r0), *map(float, y), float(r_end),
+                                tolerances["rtol"], atol0)
         assert ours == (*ref.f.tolist(), ref.h_abs)
+
+
+def test_initial_step_from_a_flat_start_is_rk45s():
+    # rhs = 0: f and its change along the trial step are both 0, and RK45's
+    # choice falls back to 1e-6
+    def rhs(t, y):
+        return 0.0, 0.0
+
+    ref = RK45(rhs, 0.5, [1.0, 0.0], 3.0, rtol=1e-10, atol=1e-14)
+    ours = gs._initial_step(rhs, 0.5, 1.0, 0.0, 3.0, 1e-10, 1e-14)
+    assert ours == (*ref.f.tolist(), ref.h_abs) == (0.0, 0.0, 1e-6)
