@@ -6,7 +6,7 @@ monitoring.
 """
 
 from .asymptotics import DecayFit, OriginReport, fit_decay, origin_asymptotics
-from .config import RunConfig, load_config, save_config
+from .config import RunConfig, load_config
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
                              build_grid, build_line_grid, gradient_energy, sphere_area,
                              weighted_inner, weighted_norm)
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayFit", "OriginReport", "fit_decay", "origin_asymptotics",
-    "RunConfig", "load_config", "save_config",
+    "RunConfig", "load_config",
     "LineGrid", "Profile", "RadialGrid", "SectorOperator", "assemble_operator", "build_grid",
     "build_line_grid", "gradient_energy", "weighted_inner", "weighted_norm",
     "CrankNicolson", "VirialTrace", "evolve_and_trace",

@@ -9,11 +9,10 @@ Grammar (configparser dialect):
     stalls), `[spectral] l_max` (the sectors end where the spectrum says),
     `[sweep] tail_decades` (every sweep grid ends 7 decades down its
     predicted tail) and `[output] seed` / `dir`, load and are dropped, so
-    that older configs still load; `save_config` does not write them.
+    that older configs still load.
 
 Every field has a default except the model parameters (d, a, p), which any
 single-point subcommand requires; `sweep` reads its own section instead.
-Values round-trip losslessly: floats are written with repr precision.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ class RunConfig:
         return ModelParams(self.d, self.a, self.p, self.omega)
 
 
-# Each [section] key and the RunConfig field it sets, in the order save_config
-# writes them; a value is parsed as the type of its field's default.  A retired
-# key maps to None: it loads, so that older configs do, and is dropped.
+# Each [section] key and the RunConfig field it sets; a value is parsed as the
+# type of its field's default.  A retired key maps to None: it loads, so that
+# older configs do, and is dropped.
 _LAYOUT = {
     "model": {"d": "d", "a": "a", "p": "p", "omega": "omega"},
     "grid": {"n": "n", "r_max": "r_max", "gamma": "grid_gamma"},
@@ -88,16 +87,6 @@ def _parse_value(raw: str, kind):
     return kind(raw)
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
@@ -116,13 +105,3 @@ def load_config(path: str) -> RunConfig:
             setattr(cfg, fields[key], _parse_value(parser.get(section, key), kind))
     return cfg
 
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    lines = []
-    for section, fields in _LAYOUT.items():
-        written = [f"{key} = {_format_value(getattr(cfg, attr))}"
-                   for key, attr in fields.items() if attr is not None]
-        if written:
-            lines += [f"[{section}]", *written, ""]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines))

@@ -121,12 +121,6 @@ class Profile:
     residual: float = field(default=np.nan)
     phi0: float | None = None    # central value, when the solver knows it
 
-    def is_positive(self) -> bool:
-        return bool(np.all(self.values > 0.0))
-
-    def is_monotone_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0.0))
-
 
 def build_grid(d: int, r_max: float, n: int, gamma: float = 1.0) -> RadialGrid:
     """Build the graded radial grid; rejects degenerate inputs."""

@@ -69,7 +69,6 @@ def _defect_norm(op: SectorOperator, u: np.ndarray, omega: float, nonlinear: np.
 # flow, which then converges to the even saddle; an off-centre one breaks the
 # symmetry the way the minimizer does.
 LINE_SEED_SHIFT = 0.5
-FLOW_TAU = 0.1              # the flow's first step; it is halved and grown as the flow goes
 STALL_WINDOW = 200          # iterations in which the flow's best defect must halve
 COARSEN = 16                # the coarse stage has 1/COARSEN of the target's cells (a side)
 COARSE_MIN_CELLS = 1024     # fewer coarse cells than this: the coarse stage is the target grid
@@ -85,9 +84,10 @@ def minimize_weinstein(params: ModelParams, grid: RadialGrid | LineGrid,
                        tol: float = 1e-8) -> MinimizerReport:
     """Minimize J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 by nested iteration: a flow, then Newton.
 
-    1. The normalized flow (`_weinstein_flow`) runs to the defect COARSE_TOL
-       on grid's layout (r_max, gamma) with 1/COARSEN of its cells, or on grid
-       itself where that leaves fewer than COARSE_MIN_CELLS.
+    1. The normalized flow (`_weinstein_flow`), one solve with A0 + I an
+       iteration and J never rising, runs to the defect COARSE_TOL on grid's
+       layout (r_max, gamma) with 1/COARSEN of its cells, or on grid itself
+       where that leaves fewer than COARSE_MIN_CELLS.
     2. Its wave is interpolated onto grid's nodes.
     3. Damped Newton on F(phi) = A0 phi + phi - |phi|^{p-1} phi polishes it,
        one tridiagonal solve with A0 + 1 - p |phi|^{p-1} a step, until the
@@ -178,47 +178,35 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
                     tol: float) -> tuple[np.ndarray, int]:
     """The normalized flow for the operator op from seed: its unit-frequency wave and iterations.
 
-    Each step solves (I + tau (A0 + I)) v = u + tau kappa_u u^p and renormalizes
-    to unit H^{1,a} norm.  tau starts at FLOW_TAU and grows by 1.5 every 20
-    accepted steps while below 10.  A step that would raise J by more than a
-    relative 1e-15 is retried with tau halved, so no accepted step does.  The
-    implicit linear part damps the stiff weighted-Laplacian modes
-    unconditionally, and the M-matrix structure of the solve keeps iterates
-    positive.  Stops when the relative J change falls below 1e-12 and the
-    Euler-Lagrange defect below tol, positive and finite (both required).
-    Every STALL_WINDOW iterations, retried steps included, the best defect so
-    far must fall below half its value at the previous check; if not, it has
-    stalled (at the grid's rounding floor, say): NonConvergenceError.
+    Each step solves (A0 + I) g = u^p, with A0 + I factored once, and
+    rescales g to unit H^{1,a} norm: the normalized Petviashvili iteration
+    (Pelinovsky and Stepanyants, SIAM J. Numer. Anal. 42, 2004), which is the
+    power method for the convex functional F[u] = integral u^{p+1} on the
+    unit sphere of H^{1,a} (Journee, Nesterov, Richtarik and Sepulchre, JMLR
+    11, 2010).  (p+1) g is the H^{1,a} gradient of F at u, so for a unit u
+    convexity gives F[g / |g|] >= F[u] + (p+1) (|g| - <g, u>), and by
+    Cauchy-Schwarz the last term is nonnegative: F never falls, so J =
+    F^{-2/(p+1)} never rises.  A0 + I is an M-matrix, so its inverse keeps
+    iterates nonnegative.  Stops when the relative J change falls below
+    1e-12 and the Euler-Lagrange defect below tol, positive and finite (both
+    required).  Every STALL_WINDOW iterations the best defect so far must
+    fall below half its value at the previous check; if not, it has stalled
+    (at the grid's rounding floor, say): NonConvergenceError.
     """
     p = params.p
-    # lam and u_p = u^p belong to the current iterate u; each is computed once
-    # per accepted step and reused by the next one.
+    solve = op.factor(1.0, 1.0)                    # A0 + I
     u, j_curr, lam = _unit(op, seed, p)
     u_p = u ** p
-    tau = FLOW_TAU
-    solve = op.factor(tau, 1.0 + tau)              # I + tau (A0 + I)
-    accepted = 0
     best = checked = np.inf                        # best defect so far, and at the last check
 
     for iteration in itertools.count(1):
-        kappa = 1.0 / lam                          # unit H-norm Lagrange multiplier
-        rhs = u + tau * kappa * u_p
-        v, j_new, lam_new = _unit(op, solve(rhs), p)
-        if j_new > j_curr * (1.0 + 1e-15):
-            tau = 0.5 * tau
-            solve = op.factor(tau, 1.0 + tau)
-        else:
-            dj = abs(j_curr - j_new)
-            u, j_curr, lam = v, j_new, lam_new
-            u_p = u ** p
-            accepted += 1
-            if accepted % 20 == 0 and tau < 10.0:
-                tau = 1.5 * tau
-                solve = op.factor(tau, 1.0 + tau)
-            res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
-            if res < tol and dj <= 1e-12 * abs(j_curr):
-                return (1.0 / lam) ** (1.0 / (p - 1.0)) * u, iteration
-            best = min(best, res)
+        u, j_new, lam = _unit(op, solve(u_p), p)
+        dj, j_curr = abs(j_curr - j_new), j_new
+        u_p = u ** p
+        res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
+        if res < tol and dj <= 1e-12 * j_curr:
+            return (1.0 / lam) ** (1.0 / (p - 1.0)) * u, iteration
+        best = min(best, res)
         if iteration % STALL_WINDOW == 0:
             if not best < 0.5 * checked:
                 raise NonConvergenceError(

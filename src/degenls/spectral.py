@@ -80,14 +80,13 @@ class _Sturm:
     graded grids push |T| high enough that zero modes read as +-1e-7.
     `lower`, min(V) less the band, lies below the spectrum, since the flux
     part A0 is positive semidefinite in the weighted inner product.  A count
-    is one LDL^T sweep (`_count_below`) at each end of its window, or at its
-    top alone from `lower`, where no eigenvalue lies; a bisection is a
+    is one LDL^T sweep (`_count_below`) from the bottom of the spectrum, none
+    at or below `lower`, where no eigenvalue lies; a bisection is a
     select="v" `stebz` call (`_bisect`, tol 0) that resolves the eigenvalues
     in its window above `lower` to the band.  `known` keeps every count the
-    caller took from the bottom of the spectrum as an (x, number of
-    eigenvalues <= x) pair, (lower, 0) among them; `work` tallies the sweeps'
-    counts as "sturm_counts" and the LAPACK calls as "bisections", and may
-    be shared by several operators' paths.  A
+    caller took as an (x, number of eigenvalues <= x) pair, (lower, 0) among
+    them; `work` tallies the sweeps as "sturm_counts" and the LAPACK calls as
+    "bisections", and may be shared by several operators' paths.  A
     full-line operator whose branches decouple (a >= 1/2) has a centre link
     of exactly 0, where the pivots restart and LAPACK splits the matrix: its
     spectrum is the union of the two branches', each eigenvector vanishing
@@ -105,21 +104,17 @@ class _Sturm:
         self.known = [(self.lower, 0)]
         self.work = Counter() if work is None else work
 
-    def count(self, lo: float, hi: float) -> int:
-        """Number of eigenvalues in (lo, hi]; lo = -inf stands for the bottom of the
-        spectrum, and such a count joins `known`."""
-        lo = max(lo, self.lower)
-        held = self._count(lo, hi)
-        if lo == self.lower:
-            self.known.append((hi, held))
+    def count(self, x: float) -> int:
+        """Number of eigenvalues <= x; the count joins `known`."""
+        held = self._count(x)
+        self.known.append((x, held))
         return held
 
-    def _count(self, lo: float, hi: float) -> int:
-        if hi <= lo:
+    def _count(self, x: float) -> int:
+        if x <= self.lower:
             return 0
         self.work["sturm_counts"] += 1
-        below = 0 if lo == self.lower else _count_below(self.diag, self.off, lo)
-        return _count_below(self.diag, self.off, hi) - below
+        return _count_below(self.diag, self.off, x)
 
     def _window(self, k: int) -> float:
         """Upper end of a window that holds the k smallest eigenvalues and, where
@@ -139,10 +134,10 @@ class _Sturm:
             upper, held, step = below, 0, 0.5
             while held < k:
                 below, upper, step = upper, upper + step, 2.0 * step
-                held = self._count(self.lower, upper)
+                held = self._count(upper)
         while held > k and upper - below > self.band:
             mid = 0.5 * (below + upper)
-            inside = self._count(self.lower, mid)
+            inside = self._count(mid)
             if inside >= k:
                 upper, held = mid, inside
             else:
@@ -158,18 +153,30 @@ class _Sturm:
         it, so the bisection covers the eigenvalues asked for and, where the
         counts cannot pin them, the few below.  The window search's own
         counts only place `upper`: `eigenpairs` and `eigenvalues`, which count
-        nothing first, bisect from `lower`.  A bracket that returns fewer
-        eigenvalues than its counts say it holds raises EigensolverError.
+        nothing first, bisect from `lower`.  `stebz` counts again by its own
+        recurrence, so an eigenvalue within rounding of a window end can fall
+        outside the window by its count and inside by ours.  A bracket that
+        returns fewer eigenvalues than the counts say it holds is bisected
+        once more with both ends widened by the band, the bottom recounted
+        unless it is `lower`; still short, it raises EigensolverError.
         """
         k = min(k, self.grid.n)
         if k <= first:
             return np.empty(0), np.empty((self.grid.n, 0)) if vectors else None
         upper = self._window(k)
         bottom, held = max((x, held) for x, held in self.known if held <= first)
-        out = _bisect(self.diag, self.off, bottom, upper, tol=0.0, vectors=vectors)
-        self.work["bisections"] += 1
-        vals = out[0] if vectors else out
-        if vals.size < k - held:
+        for retry in (False, True):
+            if retry:
+                if bottom > self.lower:
+                    bottom -= self.band
+                    held = self._count(bottom)
+                upper += self.band
+            out = _bisect(self.diag, self.off, bottom, upper, tol=0.0, vectors=vectors)
+            self.work["bisections"] += 1
+            vals = out[0] if vectors else out
+            if vals.size >= k - held:
+                break
+        else:
             raise EigensolverError(
                 f"bisection found {vals.size} eigenvalues on ({bottom:.6e}, {upper:.6e}], "
                 f"where counts put {k - held} of those asked for")
@@ -193,7 +200,7 @@ def eigenvalues(op: SectorOperator, k: int) -> np.ndarray:
 
 def morse_index(op: SectorOperator, tol_zero: float) -> int:
     """Number of eigenvalues at or below -tol_zero, by Sturm count."""
-    return _Sturm(op).count(-np.inf, -tol_zero)
+    return _Sturm(op).count(-tol_zero)
 
 
 @dataclass
@@ -264,7 +271,7 @@ def slope_solve(params: ModelParams, profile: Profile) -> tuple[np.ndarray, floa
     op = assemble_linearized(params, profile, sector=0, sign=+1)
     sturm = _Sturm(op)
     tol = max(_tol_zero(params, profile), sturm.band)
-    _require_regular(sturm.count(-tol, tol), tol)
+    _require_regular(sturm.count(tol) - sturm.count(-tol), tol)
     v = op.factor()(profile.values)
     res = weighted_norm(profile.grid, op.apply(v) - profile.values)
     return v, res / weighted_norm(profile.grid, profile.values)
@@ -317,7 +324,7 @@ def _minus_mode(op: SectorOperator, sturm: _Sturm, phi: np.ndarray, tol: float, 
     norm_sq = weighted_inner(grid, phi, phi)
     rho = weighted_inner(grid, l_phi, phi) / norm_sq
     residual = weighted_norm(grid, l_phi - rho * phi) / np.sqrt(norm_sq)
-    certified = n_minus == 0 and sturm.count(-np.inf, tol) == 1 and rho <= tol
+    certified = n_minus == 0 and sturm.count(tol) == 1 and rho <= tol
     if not certified:
         (lowest, second), _ = sturm.values(2)
         return False, float(lowest), float(second), residual, 0.0
@@ -358,7 +365,7 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
         work = Counter()
         plus = _Sturm(op, work)
         tol = max(tol_zero, plus.band)
-        n_plus, n_nonpositive = plus.count(-np.inf, -tol), plus.count(-np.inf, tol)
+        n_plus, n_nonpositive = plus.count(-tol), plus.count(tol)
         (lowest_plus,), _ = plus.values(1)
         if sector == 0:
             _require_regular(n_nonpositive - n_plus, tol)
@@ -366,7 +373,7 @@ def slope_and_classify(params: ModelParams, profile: Profile) -> SpectralReport:
         del op, plus
         op = assemble_linearized(params, profile, sector, -1)
         minus = _Sturm(op, work)
-        n_minus = minus.count(-np.inf, -tol)
+        n_minus = minus.count(-tol)
         if sector == 0:
             certified, lowest_minus, gap_0, residual, cosine = _minus_mode(
                 op, minus, phi, tol, n_minus)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import degenls as dl
-from degenls.exceptions import ResolutionInsufficientError, WindowTooShortError
+from degenls.exceptions import (InvalidParameterError, ResolutionInsufficientError,
+                                WindowTooShortError)
 from degenls.presets import default_r_max
 from tests.conftest import sech_values
 
@@ -142,3 +143,10 @@ def test_origin_resolution_guard():
                       omega=1.0)
     with pytest.raises(ResolutionInsufficientError):
         dl.origin_asymptotics(junk, params)
+
+
+def test_origin_asymptotics_refuses_a_line_profile():
+    line = dl.build_line_grid(20.0, 256)
+    wave = dl.Profile(grid=line, values=sech_values(line.nodes), omega=1.0)
+    with pytest.raises(InvalidParameterError, match="radial"):
+        dl.origin_asymptotics(wave, dl.ModelParams(1, 0.25, 3.0))

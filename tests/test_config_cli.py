@@ -12,30 +12,15 @@ from degenls.cli import main
 from degenls.exceptions import InvalidParameterError, SingularLPlusError
 
 
-def test_config_roundtrip_lossless(tmp_path):
-    cfg = dl.RunConfig(d=2, a=0.3, p=2.7182818284590451, omega=1.5, n=1024,
-                       r_max=33.25, grid_gamma=1.75, tol=3e-9,
-                       t_final=2.5, dt=0.0025, lambda_scale=1.1,
-                       sweep_a_values=(0.0, 0.125), sweep_p_values=(2.0, 2.5),
-                       shoot=True, eigenfunctions=True)
-    path = tmp_path / "run.ini"
-    dl.save_config(cfg, path)
-    assert dl.load_config(path) == cfg
-
-
 def test_config_loads_retired_keys(tmp_path):
     # [solver] max_iter, [spectral] l_max, [sweep] tail_decades and [output]
-    # seed / dir load and are dropped; save_config writes none of them
+    # seed / dir load and are dropped
     path = tmp_path / "old.ini"
     path.write_text("[model]\nd = 2\n\n[solver]\nmax_iter = 3\n\n"
                     "[spectral]\nl_max = 5\neigenfunctions = true\n\n"
                     "[sweep]\ntail_decades = 5.0\n\n"
                     "[output]\nseed = 7\ndir = runs/old\n")
     assert dl.load_config(path) == dl.RunConfig(d=2, eigenfunctions=True)
-    dl.save_config(dl.RunConfig(), path)
-    text = path.read_text()
-    assert "max_iter" not in text and "l_max" not in text and "[output]" not in text
-    assert "tail_decades" not in text
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -45,6 +30,15 @@ def test_config_rejects_unknown_keys(tmp_path):
         dl.load_config(path)
     path.write_text("[nosuch]\nx = 1\n")
     with pytest.raises(InvalidParameterError):
+        dl.load_config(path)
+
+
+def test_config_reads_booleans(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[solver]\nshoot = off\n")
+    assert dl.load_config(path).shoot is False
+    path.write_text("[solver]\nshoot = maybe\n")
+    with pytest.raises(InvalidParameterError, match="boolean"):
         dl.load_config(path)
 
 
@@ -72,6 +66,13 @@ pohozaev_threshold = 1e-5
 
 def test_cli_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["groundstate", "--config", str(tmp_path / "none.ini")]) == 64
+
+
+def test_cli_bad_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[model]\nbogus = 3\n")
+    assert main(["groundstate", "--config", str(path), "--out", str(tmp_path)]) == 64
+    assert "bad config" in capsys.readouterr().err
 
 
 def test_cli_bad_flags_are_usage_errors():

@@ -40,6 +40,17 @@ def test_build_grid_rejects_degenerate_inputs(bad):
         dl.build_grid(**bad)
 
 
+def test_build_grid_rejects_an_edge_that_underflows():
+    # (1/16)^400 underflows: the first two edges are both 0
+    with pytest.raises(InvalidParameterError, match="degenerate grid"):
+        dl.build_grid(1, 10.0, 16, 400.0)
+
+
+def test_assemble_operator_rejects_a_out_of_range():
+    with pytest.raises(InvalidParameterError, match="degeneracy exponent"):
+        dl.assemble_operator(dl.build_grid(1, 10.0, 32), 1.0)
+
+
 @pytest.mark.parametrize("d,a,sector", [
     (1, 0.0, 0), (1, 0.5, 1), (2, 0.25, 0), (2, 0.75, 2), (3, 0.5, 3), (3, 0.0, 1),
 ])

@@ -66,6 +66,14 @@ def test_virial_identity_second_difference(evo_setup):
     assert errs[1] < 0.6 * errs[0]     # shrinks under dt refinement
 
 
+def test_second_difference_refuses_uneven_times():
+    samples = np.ones(4)
+    trace = dl.VirialTrace(times=np.array([0.0, 0.1, 0.2, 0.4]), v=samples, p_values=samples,
+                           mass=samples, energy=samples, gradnorm=samples, lp1_norm=samples)
+    with pytest.raises(ValueError, match="uniform"):
+        trace.second_difference()
+
+
 def test_blowup_supercritical(wave_cache):
     params, wave = wave_cache(1, 0.0, 7.0, n=2048)
     grid = wave.grid

@@ -21,8 +21,8 @@ gs = importlib.import_module("degenls.ground_state")
 def test_minimizer_matches_sech_oracle(anchor_wave, anchor_grid):
     exact = sech_values(anchor_grid.nodes)
     assert np.max(np.abs(anchor_wave.values - exact)) < 1e-4
-    assert anchor_wave.is_positive()
-    assert anchor_wave.is_monotone_decreasing()
+    assert np.all(anchor_wave.values > 0.0)
+    assert np.all(np.diff(anchor_wave.values) <= 0.0)
 
 
 def test_minimizer_report_consistency(anchor_report, anchor_params):
@@ -103,6 +103,33 @@ def test_flow_stalls_below_its_rounding_floor():
     assert 0.0 < err.value.residual < 1e-10
 
 
+@pytest.mark.parametrize("d, a, p", [(1, 0.0, 3.0), (1, 0.25, 3.0), (1, 0.75, 2.5),
+                                     (2, 0.25, 5.0)])
+def test_flow_never_raises_the_quotient(monkeypatch, d, a, p):
+    # the radial anchor, the coupled line from its off-centre seed, the half
+    # line and d = 2: each step is a power-method step for the convex integral
+    # of u^{p+1} on the H^{1,a} unit sphere, so J cannot rise, and the solve
+    # with the M-matrix A0 + I keeps the iterates nonnegative (the seed's far
+    # samples underflow to 0)
+    params = dl.ModelParams(d, a, p, 1.0)
+    _, op, seed = gs._flow_problem(sweep_grid(params, n=4096), a)
+    quotients = []
+    unit = gs._unit
+
+    def recording(op, v, p):
+        u, j, lam = unit(op, v, p)
+        assert np.all(u >= 0.0)
+        quotients.append(j)
+        return u, j, lam
+
+    monkeypatch.setattr(gs, "_unit", recording)
+    phi, iterations = gs._weinstein_flow(params, op, seed, 1e-8)
+    j = np.array(quotients)
+    assert j.size == iterations + 1
+    assert np.all(j[1:] <= j[:-1] * (1.0 + 1e-15))
+    assert np.all(phi > 0.0)
+
+
 def test_guard_refuses_a_negative_wave():
     # at p = 3, -phi solves phi's equation too, but it is not positive
     params = dl.ModelParams(1, 0.0, 3.0)
@@ -116,6 +143,8 @@ def test_minimizer_rejects_closed_window():
     grid = dl.build_grid(3, 20.0, 256, 1.0)
     with pytest.raises(InvalidWindowError):
         dl.minimize_weinstein(dl.ModelParams(3, 0.5, 5.0), grid)
+    with pytest.raises(InvalidWindowError):
+        dl.shoot_profile(dl.ModelParams(3, 0.5, 5.0), grid)
 
 
 def test_minimizer_nonconvergence_carries_residual(anchor_params, anchor_grid):
@@ -136,7 +165,7 @@ def test_minimizer_refuses_tol_out_of_range(anchor_params, anchor_grid, tol):
 def test_shoot_beta_matches_sech(anchor_shot):
     assert anchor_shot.phi0 == pytest.approx(SQRT2, abs=1e-6)
     assert anchor_shot.values[-1] < 1e-9 * anchor_shot.phi0
-    assert anchor_shot.is_positive() and anchor_shot.is_monotone_decreasing()
+    assert np.all(anchor_shot.values > 0.0) and np.all(np.diff(anchor_shot.values) <= 0.0)
 
 
 def test_shoot_profile_matches_oracle(anchor_shot, anchor_grid):
@@ -707,7 +736,7 @@ def test_line_wave_satisfies_identities():
     ids = dl.evaluate_identities(params, wave)
     assert ids.pohozaev_1 < 1e-6 and ids.pohozaev_2 < 1e-6
     assert wave.residual < 1e-6
-    assert wave.is_positive()
+    assert np.all(wave.values > 0.0)
 
 
 def test_line_ground_state_at_shifted_omega():

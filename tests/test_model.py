@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import degenls as dl
 from degenls.exceptions import GridRangeError, InvalidParameterError, InvalidWindowError
+from degenls.model import profile_evaluator
 
 
 def test_exists_window_examples():
@@ -141,3 +142,14 @@ def test_entry_points_refuse_a_grid_of_another_dimension(entry):
     wave = dl.Profile(grid=grid, values=np.sqrt(2.0) / np.cosh(grid.nodes), omega=1.0)
     with pytest.raises(InvalidParameterError, match="dimension"):
         entry(dl.ModelParams(2, 0.0, 3.0, 1.0), wave)
+
+
+def test_profile_evaluator_refuses_a_line_or_a_nonpositive_profile():
+    line = dl.build_line_grid(20.0, 256)
+    with pytest.raises(InvalidParameterError, match="radial"):
+        profile_evaluator(dl.Profile(grid=line, values=np.exp(-np.abs(line.nodes)), omega=1.0))
+    grid = dl.build_grid(1, 20.0, 256)
+    values = np.exp(-grid.nodes)
+    values[-1] = 0.0
+    with pytest.raises(InvalidParameterError, match="strictly positive"):
+        profile_evaluator(dl.Profile(grid=grid, values=values, omega=1.0))

@@ -20,6 +20,8 @@ def test_linearized_potentials(anchor_wave, anchor_params):
     phi2 = anchor_wave.values ** 2
     assert np.allclose(plus.potential, 1.0 - 3.0 * phi2)
     assert np.allclose(minus.potential, 1.0 - phi2)
+    with pytest.raises(ValueError):
+        dl.assemble_linearized(anchor_params, anchor_wave, 0, 0)
 
 
 def test_minus_annihilates_wave(anchor_wave, anchor_params):
@@ -548,3 +550,40 @@ def test_count_past_a_hundred_eigenvalues():
     op = dl.assemble_operator(grid, 0.0, 0, potential=np.where(grid.nodes < 10.0, -1e4, 0.0))
     dense = _dense_spectrum(op)
     assert _dense_count(op, 0.5 * (dense[149] + dense[150])) == 150
+
+
+@pytest.fixture(scope="module")
+def translation_mode_wave():
+    params = dl.ModelParams(2, 0.0, 3.0, 1.0)
+    return params, dl.ground_state(params, sweep_grid(params, n=65536))
+
+
+@pytest.mark.parametrize("k", [-1, 1, 4])
+def test_eigenvalue_at_a_window_end_is_bisected(translation_mode_wave, k):
+    # sector 1's a = 0 translation mode lies within rounding of its kernel
+    # band's upper end; scaled by 1 + k 1e-12 the wave moves it across, and
+    # stebz's own count can then put it outside the window ours puts it in
+    params, wave = translation_mode_wave
+    profile = dataclasses.replace(wave, values=wave.values * (1.0 + k * 1e-12))
+    report = dl.slope_and_classify(params, profile)
+    assert (report.n_plus, report.verdict) == (1, "Degenerate")
+
+
+def test_bisection_after_counts_at_eigenvalues():
+    # a count taken within a few hundred ulp of each of the lowest three
+    # eigenvalues puts a window end there, where stebz's count and ours can
+    # disagree; the bisection that follows still returns the eigenvalues
+    # asked for, within three bands of the dense ones (each errs by a band)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n, d = int(rng.integers(32, 401)), int(rng.integers(1, 4))
+        gamma, a, r_max = rng.uniform(1.0, 3.0), rng.uniform(0.0, 0.9), rng.uniform(5.0, 40.0)
+        potential = rng.uniform(0.1, 20.0) * rng.standard_normal(n)
+        op = dl.assemble_operator(dl.build_grid(d, r_max, n, gamma), a, 0, potential=potential)
+        dense = _dense_spectrum(op)
+        for i in range(3):
+            for j in range(-6, 7):
+                sturm = spectral._Sturm(op)
+                sturm.count(dense[i] + j * 64 * np.spacing(dense[i]))
+                vals, _ = sturm.values(i + 1)
+                assert np.allclose(vals, dense[:i + 1], rtol=0.0, atol=3.0 * sturm.band)
