@@ -8,7 +8,7 @@ import numpy as np
 
 from .discretization import LineGrid, Profile
 from .exceptions import InvalidParameterError, ResolutionInsufficientError, WindowTooShortError
-from .model import ModelParams
+from .model import ModelParams, _power, tail_rate
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class DecayFit:
     q_fixed: float          # the imposed exponent 1 - a
     r2: float               # quality of the fixed-exponent fit
     window: tuple[float, float]
-    delta_pred: float       # sqrt(omega) / (1 - a)
+    delta_pred: float       # `tail_rate`, sqrt(omega) / (1 - a)
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def fit_decay(profile: Profile, params: ModelParams) -> DecayFit:
     delta, _, r2 = _fit_at_power(log_rho, ell_c, ss_tot, q_fixed)
     return DecayFit(delta=delta, power=float(q_free), delta_free=delta_free,
                     q_fixed=q_fixed, r2=r2, window=(float(lo), float(hi)),
-                    delta_pred=np.sqrt(params.omega) / (1.0 - params.a))
+                    delta_pred=tail_rate(params))
 
 
 def _shell_means(rho: np.ndarray, values: np.ndarray, base: float):
@@ -142,10 +142,10 @@ def origin_asymptotics(profile: Profile, params: ModelParams) -> OriginReport:
     g = dphi / mids ** (1.0 - 2.0 * a)
     h = -(d - 1.0 + 2.0 * a) * g - (np.abs(phi_mid) ** (p - 1.0) * phi_mid - omega * phi_mid)
 
-    # The core radius scales like omega^{-1/(2(1-a))}, not with the domain
-    # size; the shells sit where the first correction term, of relative
-    # size (rho/core)^{2-2a}, is ~1e-3, subject to the grid floor.
-    core = omega ** (-1.0 / (2.0 * (1.0 - a)))
+    # The core radius, `model.frequency_stretch` from omega to 1 (spelled here:
+    # as that stretch it moves up to 121 ulp near a = 1), sets the shells where the
+    # first correction, (rho/core)^{2-2a}, is ~1e-3, subject to the grid floor.
+    core = _power(omega, -1.0 / (2.0 * (1.0 - a)), "the core radius")
     base_radius = max(8.0 * grid.nodes[0], core * 1e-3 ** (1.0 / (2.0 - 2.0 * a)))
     radii, g_shell = _shell_means(mids, g, base_radius)
     _, h_shell = _shell_means(mids, h, base_radius)

@@ -10,7 +10,11 @@ class InvalidParameterError(DegenlsError, ValueError):
 
 
 class InvalidWindowError(DegenlsError, ValueError):
-    """Parameters violate the existence window 1/2 - 1/(p+1) < (1-a)/d."""
+    """Parameters violate the existence window 1/2 - 1/(p+1) < 1/D, D = d/(1-a)."""
+
+
+class FloatRangeError(DegenlsError, ArithmeticError):
+    """A quantity left the range of doubles: it overflowed, or a divisor underflowed to 0."""
 
 
 class GridRangeError(DegenlsError, ValueError):

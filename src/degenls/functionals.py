@@ -16,8 +16,8 @@ import numpy as np
 
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, _require_fields,
                              assemble_operator, gradient_energy)
-from .exceptions import InvalidParameterError
-from .model import ModelParams, dilate, require_dimension
+from .exceptions import FloatRangeError, InvalidParameterError
+from .model import ModelParams, dilate, pohozaev_coefficient, require_dimension
 
 
 def mass_of(grid: RadialGrid, u: np.ndarray) -> float:
@@ -73,8 +73,13 @@ def h_norm_sq(op: SectorOperator, u: np.ndarray) -> float:
 
 
 def weinstein_of(op: SectorOperator, u: np.ndarray, p: float) -> tuple[float, float]:
-    """J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 and integral |u|^{p+1}, for the sector-0 op."""
+    """J[u] = |u|_{H^{1,a}}^2 / |u|_{p+1}^2 and integral |u|^{p+1}, for the sector-0 op.
+
+    FloatRangeError where that integral underflows to 0.
+    """
     lam = lp_power_of(op.grid, u, p + 1.0)
+    if lam == 0.0:
+        raise FloatRangeError(f"integral |u|^(p+1) underflows to 0 at p = {p!r}")
     return h_norm_sq(op, u) / lam ** (2.0 / (p + 1.0)), lam
 
 
@@ -89,11 +94,6 @@ class IdentityReport:
     pohozaev_2: float
     p: float
     alpha: float
-
-
-def pohozaev_coefficient(params: ModelParams) -> float:
-    """d(p-1) / (2(p+1)(1-a)), the kinetic-to-potential ratio of converged waves."""
-    return params.d * (params.p - 1.0) / (2.0 * (params.p + 1.0) * (1.0 - params.a))
 
 
 def evaluate_identities(params: ModelParams, profile: Profile) -> IdentityReport:

@@ -12,9 +12,10 @@ import numpy as np
 from . import functionals
 from .discretization import (LineGrid, Profile, RadialGrid, SectorOperator, assemble_operator,
                              build_grid, build_line_grid, weighted_norm)
-from .exceptions import (BracketInvalidError, InvalidParameterError, InvalidWindowError,
-                         NonConvergenceError, StiffnessFailureError)
-from .model import ModelParams, exists_window, omega_rescale, require_dimension
+from .exceptions import (BracketInvalidError, FloatRangeError, InvalidParameterError,
+                         InvalidWindowError, NonConvergenceError, StiffnessFailureError)
+from .model import (ModelParams, _amplitude, exists_window, frequency_stretch, omega_rescale,
+                    require_dimension, tail_rate)
 from .spectral import morse_index
 
 log = logging.getLogger(__name__)
@@ -44,9 +45,14 @@ class MinimizerReport:
 
     def profile(self, params: ModelParams) -> Profile:
         """Unit-frequency wave phi = kappa^{1/(p-1)} * minimizer, with its own defect."""
-        values = self.kappa ** (1.0 / (params.p - 1.0)) * self.phi_normalized
-        return Profile(grid=self.grid, values=values, omega=1.0,
-                       residual=el_residual(params.with_omega(1.0), self.grid, values))
+        wave = self._wave(params)
+        wave.residual = el_residual(params.with_omega(1.0), self.grid, wave.values)
+        return wave
+
+    def _wave(self, params: ModelParams) -> Profile:
+        """The unit-frequency wave without its defect."""
+        return Profile(grid=self.grid, omega=1.0, values=_amplitude(self.kappa, params.p)
+                       * self.phi_normalized)
 
 
 def el_residual(params: ModelParams, grid: RadialGrid | LineGrid, values: np.ndarray) -> float:
@@ -171,6 +177,8 @@ def _unit(op: SectorOperator, v: np.ndarray, p: float) -> tuple[np.ndarray, floa
     """
     v = v / np.sqrt(functionals.h_norm_sq(op, v))
     lam = functionals.lp_power_of(op.grid, v, p + 1.0)
+    if lam == 0.0:
+        raise FloatRangeError(f"integral |v|^(p+1) of a unit iterate underflows to 0 at p = {p!r}")
     return v, lam ** (-2.0 / (p + 1.0)), lam
 
 
@@ -205,7 +213,7 @@ def _weinstein_flow(params: ModelParams, op: SectorOperator, seed: np.ndarray,
         u_p = u ** p
         res = _defect_norm(op, u, 1.0, (1.0 / lam) * u_p)
         if res < tol and dj <= 1e-12 * j_curr:
-            return (1.0 / lam) ** (1.0 / (p - 1.0)) * u, iteration
+            return _amplitude(1.0 / lam, p) * u, iteration
         best = min(best, res)
         if iteration % STALL_WINDOW == 0:
             if not best < 0.5 * checked:
@@ -300,15 +308,15 @@ def minimize_and_rescale(params: ModelParams, grid: RadialGrid | LineGrid,
     """The minimization behind `ground_state`, and the wave at params.omega it gives on grid.
 
     The minimization runs at the unit-frequency normalization on the grid
-    stretched by omega^{1/(2(1-a))}, so the exact frequency rescaling lands
-    back on `grid` without interpolation.
+    stretched by `frequency_stretch`, so the exact frequency rescaling lands
+    back on `grid` without interpolation; the wave's defect is taken there.
     """
     if params.omega == 1.0:
         report = minimize_weinstein(params, grid, tol=tol)
         return report, report.profile(params)
-    stretch = params.omega ** (1.0 / (2.0 * (1.0 - params.a)))
+    stretch = frequency_stretch(params, params.omega)
     report = minimize_weinstein(params, grid.with_r_max(grid.r_max * stretch), tol=tol)
-    wave = omega_rescale(report.profile(params), params)
+    wave = omega_rescale(report._wave(params), params)
     wave.residual = el_residual(params, wave.grid, wave.values)
     return report, wave
 
@@ -577,8 +585,8 @@ def _classify_shot(params: ModelParams, beta: float, r0: float, r_end: float,
     t, t_bound = float(r0), float(r_end)
     tolerances = _shot_tolerances(beta)
     rtol, atol = tolerances["rtol"], tolerances["atol"][0]     # one atol for both components
-    phi, flux = (float(v) for v in _series_start(params, beta, r0))
     try:
+        phi, flux = (float(v) for v in _series_start(params, beta, r0))
         f0, f1, h_abs = _initial_step(rhs, t, phi, flux, t_bound, rtol, atol)
     except OverflowError as exc:
         raise StiffnessFailureError(
@@ -628,8 +636,8 @@ def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) 
     constant solution, until a shot overshoots (BracketInvalidError after 64
     doublings).  From the bracket, `_brentq` runs on the signed miss of each
     shot, +exp(-2 Lambda) for an overshoot, -exp(-2 Lambda) for an
-    undershoot and 0 for 'done', with Lambda = sqrt(omega) rho^{1-a}/(1-a)
-    at the radius where the shot ended.  A shot off beta* by delta leaves the
+    undershoot and 0 for 'done', with Lambda = `tail_rate` rho^{1-a} at the
+    radius where the shot ended.  A shot off beta* by delta leaves the
     decaying branch where delta e^{Lambda} meets e^{-Lambda}, so the miss is
     close to linear in beta - beta* and the secant converges fast.  Within a
     few ulp of beta* rounding sets a shot's class, so the root lies as close
@@ -644,7 +652,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) 
     once more with its steps recorded, and the returned samples follow RK45's
     dense output on those steps down to the graft point, the lowest positive
     sample of that output, and continue with the stretched-exponential tail
-    exp(-sqrt(omega) rho^{1-a}/(1-a)) beyond.  The ODE is radial, so the grid
+    exp(-`tail_rate` rho^{1-a}) beyond.  The ODE is radial, so the grid
     must be too.  max_bisect must be a whole number at least 1.  One INFO
     line on this module's logger gives the locate shots (and whether the
     bisection took over), all shots, their accepted steps, the final bracket
@@ -660,7 +668,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) 
     if not exists_window(params):
         raise InvalidWindowError(f"no solitary waves exist at {params}")
     omega, p = params.omega, params.p
-    beta_fixed = omega ** (1.0 / (p - 1.0))
+    beta_fixed = _amplitude(omega, p)         # the constant solution
     r0 = 0.5 * grid.nodes[0]
     r_end = grid.r_max
 
@@ -685,7 +693,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) 
         raise BracketInvalidError("could not find an overshooting upper endpoint")
 
     bracket_shots = len(steps)
-    rate = 2.0 * math.sqrt(omega) / (1.0 - params.a)
+    rate = 2.0 * tail_rate(params)
 
     def miss(beta: float) -> float:
         kind = shoot(beta)
@@ -729,7 +737,7 @@ def shoot_profile(params: ModelParams, grid: RadialGrid, max_bisect: int = 200) 
 
 def _sample_shot(params: ModelParams, grid: RadialGrid, path: list[tuple]) -> np.ndarray:
     """Sample a recorded shot at the nodes: its dense output, then the tail graft."""
-    a, omega = params.a, params.omega
+    a, rate = params.a, tail_rate(params)
     phi = _interpolant(path)
     # Graft where the trajectory last sits at its minimum positive level.
     t_fine = np.linspace(path[0][0], path[-1][1], 4096)
@@ -745,7 +753,6 @@ def _sample_shot(params: ModelParams, grid: RadialGrid, path: list[tuple]) -> np
     tail = ~dense
     if dense.any():
         values[dense] = phi(nodes[dense])
-    rate = np.sqrt(omega) / (1.0 - a)
     values[tail] = phi_graft * np.exp(-rate * (nodes[tail] ** (1.0 - a) - rho_graft ** (1.0 - a)))
     return values
 

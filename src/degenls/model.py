@@ -1,4 +1,11 @@
-"""Parameter tuple, validity predicates, and the exact frequency-scaling laws."""
+"""The parameter tuple, its validity predicates, and every scaling law of the problem.
+
+In s = rho^{1-a}/(1-a) the radial operator -div(|x|^{2a} grad) is the radial
+Laplacian in dimension D = d/(1-a) (Dolbeault, Esteban and Loss, Invent.
+Math. 206, 2016), so each law in (d, a) is a law in D, written here once:
+D, the window, p_c, the Pohozaev coefficient, the mass exponent, the tail
+rate of exp(-sqrt(omega) s) and the length scale of a frequency change.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import LineGrid, Profile, RadialGrid
-from .exceptions import GridRangeError, InvalidParameterError, InvalidWindowError
+from .exceptions import FloatRangeError, GridRangeError, InvalidParameterError, InvalidWindowError
 
 DEGENERATE_BAND = 1e-12
 TAIL_REL = 1e-8     # boundary value, relative to the peak, below which a tail may be grafted
@@ -39,7 +46,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Threshold classification: stable below p_c = 1 + 4(1-a)/d, unstable above."""
+    """Threshold classification: stable below p_c (`critical_power`), unstable above."""
 
     threshold: float
     slope_sign: int
@@ -53,14 +60,19 @@ def require_dimension(params: ModelParams, grid: RadialGrid | LineGrid) -> None:
             f"grid dimension {grid.d} does not match params dimension {params.d}")
 
 
+def effective_dimension(params: ModelParams) -> float:
+    """D = d/(1-a), the dimension whose radial Laplacian the operator is in s."""
+    return params.d / (1.0 - params.a)
+
+
 def exists_window(params: ModelParams) -> bool:
-    """True iff 1/2 - 1/(p+1) < (1-a)/d, the sharp admissibility window."""
-    return 0.5 - 1.0 / (params.p + 1.0) < (1.0 - params.a) / params.d
+    """True iff 1/2 - 1/(p+1) < 1/D: p below D's Sobolev exponent (D+2)/(D-2)."""
+    return 0.5 - 1.0 / (params.p + 1.0) < 1.0 / effective_dimension(params)
 
 
 def critical_power(params: ModelParams) -> float:
-    """Stability threshold p_c = 1 + 4(1-a)/d."""
-    return 1.0 + 4.0 * (1.0 - params.a) / params.d
+    """Stability threshold p_c = 1 + 4/D, D's L^2-critical power."""
+    return 1.0 + 4.0 / effective_dimension(params)
 
 
 def is_degenerate(params: ModelParams) -> bool:
@@ -70,8 +82,36 @@ def is_degenerate(params: ModelParams) -> bool:
 
 
 def mass_scaling_exponent(params: ModelParams) -> float:
-    """Exponent of the squared-mass law |phi_omega|_2^2 = omega^e |phi_1|_2^2."""
-    return 2.0 / (params.p - 1.0) - params.d / (2.0 * (1.0 - params.a))
+    """Exponent 2/(p-1) - D/2 of the squared-mass law |phi_omega|_2^2 = omega^e |phi_1|_2^2."""
+    return 2.0 / (params.p - 1.0) - effective_dimension(params) / 2.0
+
+
+def pohozaev_coefficient(params: ModelParams) -> float:
+    """D(p-1) / (2(p+1)), the kinetic-to-potential ratio of converged waves."""
+    return effective_dimension(params) * (params.p - 1.0) / (2.0 * (params.p + 1.0))
+
+
+def tail_rate(params: ModelParams) -> float:
+    """sqrt(omega)/(1-a): the wave's tail exp(-sqrt(omega) s) is exp(-rate rho^{1-a})."""
+    return np.sqrt(params.omega) / (1.0 - params.a)
+
+
+def frequency_stretch(params: ModelParams, ratio: float) -> float:
+    """ratio^{1/(2(1-a))}, sqrt(ratio) in s: the wave at ratio * omega is read at this * rho."""
+    return _power(ratio, 1.0 / (2.0 * (1.0 - params.a)), "the frequency stretch")
+
+
+def _amplitude(ratio: float, p: float) -> float:
+    """ratio^{1/(p-1)}: a wave's amplitude gains this where its frequency gains ratio."""
+    return _power(ratio, 1.0 / (p - 1.0), "the amplitude")
+
+
+def _power(base: float, exponent: float, what: str) -> float:
+    """base ** exponent for a float base, FloatRangeError naming `what` where it overflows."""
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise FloatRangeError(f"{what} {base!r} ** {exponent!r} overflows") from exc
 
 
 def classify_by_threshold(params: ModelParams) -> StabilityVerdict:
@@ -129,18 +169,16 @@ def _pchip(x: np.ndarray, y: np.ndarray):
     return value
 
 
-def profile_evaluator(profile: Profile, a: float | None = None):
+def profile_evaluator(profile: Profile):
     """Pointwise evaluator for a positive decaying profile.
 
     Monotone cubic interpolation of log(phi) between the first and last node
     (preserves positivity and the decay tail; `_pchip`, scipy's PCHIP in
-    numpy, so no SciPy subpackage loads); beyond the last node the
-    stretched-exponential continuation exp(-c rho^{1-a}) is grafted, anchored
-    at the boundary value.  With a=None the tail exponent is fitted from the
-    outermost nodes instead.  Raises GridRangeError when the boundary value is
-    not yet in the negligible-tail regime (> TAIL_REL of the peak), since
-    extrapolation would then be unreliable.  Line profiles are not radial and
-    are refused.
+    numpy, so no SciPy subpackage loads); beyond the last node the boundary
+    value continues as exp(-c rho), c fitted from the outermost nodes.
+    Raises GridRangeError when the boundary value is not yet in the
+    negligible-tail regime (> TAIL_REL of the peak), since extrapolation
+    would then be unreliable.  Line profiles are not radial and are refused.
     """
     if isinstance(profile.grid, LineGrid):
         raise InvalidParameterError(
@@ -153,14 +191,10 @@ def profile_evaluator(profile: Profile, a: float | None = None):
     r_last = nodes[-1]
     phi_last = phi[-1]
     peak = float(np.max(phi))
-    if a is None:
-        # Empirical log-linear tail rate from the outer 10% of nodes; only
-        # values below TAIL_REL * peak ever use it.
-        k = max(4, profile.grid.n // 10)
-        slope = np.polyfit(nodes[-k:], np.log(phi[-k:]), 1)[0]
-        rate, power = max(-slope, 0.0), 1.0
-    else:
-        rate, power = np.sqrt(profile.omega) / (1.0 - a), 1.0 - a
+    # Empirical log-linear tail rate from the outer 10% of nodes; only
+    # values below TAIL_REL * peak ever use it.
+    k = max(4, profile.grid.n // 10)
+    rate = max(-np.polyfit(nodes[-k:], np.log(phi[-k:]), 1)[0], 0.0)
 
     def evaluate(rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
@@ -173,22 +207,21 @@ def profile_evaluator(profile: Profile, a: float | None = None):
                 raise GridRangeError(
                     "rescaled support falls outside the source grid "
                     f"(boundary value {phi_last:.3e} vs peak {peak:.3e})")
-            out[beyond] = phi_last * np.exp(
-                -rate * (rho[beyond] ** power - r_last ** power))
+            out[beyond] = phi_last * np.exp(-rate * (rho[beyond] - r_last))
         return out
 
     return evaluate
 
 
 def dilate(profile: Profile, amp: float, stretch: float, omega: float,
-           grid: RadialGrid | LineGrid | None = None, a: float | None = None) -> Profile:
+           grid: RadialGrid | LineGrid | None = None) -> Profile:
     """The samples of amp * u(stretch x), labelled with frequency omega.
 
     With grid=None they ride on the exactly rescaled grid (same cell layout,
     radii divided by stretch), which keeps every scaling law exact at the
     discrete level; passing a target grid interpolates onto it instead
-    (`profile_evaluator`, tail exponent 1 - a, fitted when a is None), at
-    stretch |x| on a line: the even extension of the radial wave.
+    (`profile_evaluator`), at stretch |x| on a line: the even extension of
+    the radial wave.
     """
     if grid is None:
         src = profile.grid
@@ -197,20 +230,13 @@ def dilate(profile: Profile, amp: float, stretch: float, omega: float,
                            residual=profile.residual)
         return Profile(grid=src.with_r_max(src.r_max / stretch), values=amp * profile.values,
                        omega=omega)
-    values = amp * profile_evaluator(profile, a)(stretch * np.abs(grid.nodes))
+    values = amp * profile_evaluator(profile)(stretch * np.abs(grid.nodes))
     return Profile(grid=grid, values=values, omega=omega)
 
 
-def omega_rescale(profile: Profile, params: ModelParams,
-                  grid: RadialGrid | LineGrid | None = None) -> Profile:
-    """Map a profile at its own frequency to the wave at params.omega.
-
-    Uses phi_w(rho) = w^{1/(p-1)} phi_1(w^{1/(2(1-a))} rho) with w the
-    frequency ratio, on the exactly rescaled grid or interpolated onto grid
-    (`dilate`).
-    """
+def omega_rescale(profile: Profile, params: ModelParams) -> Profile:
+    """The wave at params.omega on the rescaled grid: w^{1/(p-1)} phi(stretch rho), w the ratio."""
     require_dimension(params, profile.grid)
-    a, p = params.a, params.p
     ratio = params.omega / profile.omega
-    return dilate(profile, ratio ** (1.0 / (p - 1.0)), ratio ** (1.0 / (2.0 * (1.0 - a))),
-                  params.omega, grid, a)
+    return dilate(profile, _amplitude(ratio, params.p), frequency_stretch(params, ratio),
+                  params.omega)

@@ -1,11 +1,11 @@
 """The grid rule: every grid the toolkit lays out without being given one.
 
-Two facts of the paper size a grid.  The wave decays like
-exp(-sqrt(omega) rho^{1-a}/(1-a)), which fixes the domain (`default_r_max`),
-and phi' carries a rho^{1-2a} layer at the origin, which fixes the grading.
-In s = rho^{1-a}/(1-a) both are the map's: the radial wave is the smooth,
-even radial wave of dimension D = d/(1-a), so a radial grid is graded to
-equal cells in s (`sweep_grading`).  The full line, laid out where a caller
+Two facts of the paper size a grid, and both are the map of `model`: in
+s = rho^{1-a}/(1-a) the radial wave is the smooth, even radial wave of
+dimension D = d/(1-a).  It decays like exp(-sqrt(omega) s)
+(`model.tail_rate`), which fixes the domain (`default_r_max`), and phi'
+carries a rho^{1-2a} layer at the origin, smooth in s, so a radial grid is
+graded to equal cells in s (`sweep_grading`).  The full line, laid out where a caller
 wants the Weinstein minimizer and the radial class misses it
 (`needs_line`), is graded by `line_grading`.  `point_grid` lays out every
 grid; `sweep_grid` is one call of it.
@@ -46,7 +46,7 @@ import math
 from .discretization import (MIN_CELLS, LineGrid, RadialGrid, build_grid,
                              build_line_grid)
 from .exceptions import InvalidParameterError
-from .model import ModelParams
+from .model import ModelParams, _power
 
 # Decades the predicted tail falls over a sweep grid's domain; identity
 # integrals see its square, so seven leave ~1e-14 truncation error.
@@ -54,17 +54,20 @@ SWEEP_TAIL_DECADES = 7.0
 
 
 def default_r_max(params: ModelParams, tail: float = 1e-12) -> float:
-    """Domain size with predicted boundary value exp(-sqrt(omega) R^{1-a}/(1-a)) < tail."""
+    """Domain size R with predicted boundary value exp(-`tail_rate` R^{1-a}) < tail."""
+    # Its own arithmetic: through model.tail_rate R moves 1-2 ulp at a = 1/4, omega = 1, 1.5.
     target = -math.log(tail)
-    return ((1.0 - params.a) * target / math.sqrt(params.omega)) ** (1.0 / (1.0 - params.a))
+    return _power((1.0 - params.a) * target / math.sqrt(params.omega), 1.0 / (1.0 - params.a),
+                  "the default r_max")
 
 
 def sweep_grading(a: float) -> float:
     """Grading of every radial grid whose gamma is left out: 1/(1-a).
 
     In s = rho^{1-a}/(1-a) the radial wave is Q(s), the smooth, even radial
-    wave in D = d/(1-a) dimensions, and both the rho^{1-2a} layer of phi' at
-    the origin and the tail exp(-sqrt(omega) s) are the map's.  Edges at
+    wave in D = d/(1-a) dimensions (`model.effective_dimension`), and both
+    the rho^{1-2a} layer of phi' at the origin and the tail exp(-sqrt(omega)
+    s) are the map's.  Edges at
     (j/N)^gamma r_max sit at (j/N)^{gamma(1-a)} s_max in s, so this gamma
     spaces them equally in s: 1 at a = 0, 4/3 at 1/4, 2 at 1/2, 4 at 3/4.
     """

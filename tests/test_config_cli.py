@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import importlib
+import io
 import json
 import logging
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degenls as dl
 from degenls.cli import main
@@ -371,6 +375,74 @@ def test_cli_sweep_records_infinite_power_in_row(tmp_path):
     rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
     assert [(row["p"], row["error"]) for row in rows] \
         == [("inf", "nonlinearity power must be finite and exceed 1, got inf")]
+
+
+@pytest.mark.parametrize("model, grid, message", [
+    ("p = 1e308", "", "integral |v|^(p+1) of a unit iterate underflows to 0"),
+    ("p = 3.0", "r_max = 1e-300", "integral |v|^(p+1) of a unit iterate underflows to 0"),
+    ("a = 0.25\np = 1e300\nomega = 1e30", "", "integral |v|^(p+1) of a unit iterate"),
+    ("p = 1.0000001", "", "the amplitude"),
+    ("p = 3.0\nomega = 1e-300", "", "integral |u|^(p+1) underflows to 0"),
+    ("d = 2\na = 0.999999\np = 1.5\nomega = 1e-300", "", "the default r_max"),
+], ids=["p-1e308", "r_max-1e-300", "p-1e300-omega-1e30", "p-1.0000001", "omega-1e-300",
+        "default-r_max-overflows"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_float_out_of_range_exits_70(tmp_path, capsys, model, grid, message):
+    # a double that overflows, or a divisor that underflows to 0, is a
+    # numerical failure with its JSON, not a traceback
+    cfg = _write(tmp_path, f"[model]\n{model}\n\n[grid]\nn = 1024\n{grid}\n")
+    assert main(["groundstate", "--config", cfg, "--out", str(tmp_path / "out")]) == 70
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["error"] == "numerical-failure"
+    assert payload["message"].startswith("FloatRangeError: " + message)
+
+
+@pytest.mark.parametrize("p_values, message", [
+    ("1.0000001, 3.0", "FloatRangeError: the amplitude"),
+    ("1e300, 3.0", "FloatRangeError: integral |v|^(p+1) of a unit iterate underflows to 0"),
+], ids=["p-1.0000001", "p-1e300"])
+def test_cli_sweep_keeps_the_rows_past_a_float_out_of_range(tmp_path, p_values, message):
+    cfg = _write(tmp_path, f"[sweep]\nd = 1\na_values = 0.0\np_values = {p_values}\nn = 1024\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = {row["p"]: row for row in csv.DictReader((out / "sweep.csv").read_text().splitlines())}
+    failed, = (row for p, row in rows.items() if p != "3")
+    assert failed["error"].startswith(message)
+    assert rows["3"]["verdict_spectral"] == "Stable" and rows["3"]["error"] == ""
+
+
+EXTREMES = {
+    "d": (1, 2, 3), "a": (0.0, 0.25, 0.999999, 0.9999999999999999),
+    "p": (1.0000001, 1.5, 3.0, 1e300, 1e308), "omega": (1e-300, 1e-30, 1.0, 1e30, 1e300),
+    "r_max": (None, 1e-300, 1e-30, 20.0, 1e300), "gamma": (None, 1e-300, 1.0, 100.0, 1e300),
+    "t_final": (0.0, 1e-300, 0.002, 1e300), "dt": (1e-300, 1e-3, 1e300),
+    "lambda_scale": (1e-300, 0.5, 1.013, 1e300), "record_every": (1, 10 ** 9),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(command=st.sampled_from(["groundstate", "spectrum", "evolve", "sweep"]),
+       values=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in EXTREMES.items()}))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_cli_exit_codes_hold_at_extreme_values(tmp_path_factory, command, values):
+    # the contract: 0, 2 or 70, a failure with its JSON, never a traceback;
+    # every value loads and the runs stay small (n = 512, at most 2 steps)
+    v = values
+    grid = "".join(f"{k} = {v[k]!r}\n" for k in ("r_max", "gamma") if v[k] is not None)
+    body = (f"[model]\nd = {v['d']}\na = {v['a']!r}\np = {v['p']!r}\nomega = {v['omega']!r}\n"
+            f"[grid]\nn = 512\n{grid}[dynamics]\n"
+            + "".join(f"{k} = {v[k]!r}\n" for k in ("t_final", "dt", "lambda_scale",
+                                                     "record_every"))
+            + f"[sweep]\nd = {v['d']}\na_values = {v['a']!r}\np_values = {v['p']!r}\nn = 512\n")
+    tmp = tmp_path_factory.mktemp("extreme")
+    cfg = tmp / "cfg.ini"
+    cfg.write_text(body)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, "--config", str(cfg), "--out", str(tmp / "out"), "--threads", "1"])
+    assert code in (0, 2, 70)
+    if code:
+        assert "error" in json.loads(stdout.getvalue().strip().splitlines()[-1])
 
 
 SWEEP = """

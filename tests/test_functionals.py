@@ -24,7 +24,7 @@ def test_sech_integrals(anchor_grid):
 
 def test_identities_on_converged_wave(anchor_wave, anchor_params):
     rep = dl.evaluate_identities(anchor_params, anchor_wave)
-    # coefficient d(p-1)/(2(p+1)(1-a)) = 1/4 makes both residuals vanish
+    # coefficient D(p-1)/(2(p+1)) = 1/4, D = d/(1-a), makes both residuals vanish
     assert dl.functionals.pohozaev_coefficient(anchor_params) == pytest.approx(0.25)
     assert rep.pohozaev_1 < 5e-6
     assert rep.pohozaev_2 < 5e-6

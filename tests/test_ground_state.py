@@ -670,6 +670,22 @@ def test_ground_state_at_shifted_omega():
     assert np.max(np.abs(wave.values - exact)) < 5e-4
 
 
+def test_ground_state_takes_one_defect_at_shifted_omega(monkeypatch):
+    # the unit-frequency wave's defect on the stretched grid is never read:
+    # only the rescaled wave's is taken, at params.omega
+    calls = []
+
+    def counted(params, grid, values):
+        calls.append(params.omega)
+        return el_residual(params, grid, values)
+
+    monkeypatch.setattr(gs, "el_residual", counted)
+    params = dl.ModelParams(1, 0.0, 3.0, 4.0)
+    wave = dl.ground_state(params, dl.build_grid(1, 10.0, 1024, 1.0))
+    assert calls == [4.0]
+    assert wave.residual == el_residual(params, wave.grid, wave.values)
+
+
 def _line_and_even(a, p, n):
     """Full-line and radial minimizers on the same half-line cell layout."""
     params = dl.ModelParams(1, a, p, 1.0)

@@ -93,7 +93,8 @@ def test_pchip_is_scipys(y):
                                      (1, 0.75, 2.0)])
 def test_profile_evaluator_is_scipys_pchip(d, a, p, lam):
     # a wave read at the nodes of its grid stretched by lam, first node and
-    # below it included, as `dilate` reads it
+    # below it included, as `dilate` reads it; no node past the last, where
+    # the fitted tail takes over
     params = dl.ModelParams(d, a, p)
     grid = point_grid(params, 512, 0.0, 0.0, minimizer=False)
     wave = dl.Profile(grid=grid, omega=1.0,
@@ -102,7 +103,7 @@ def test_profile_evaluator_is_scipys_pchip(d, a, p, lam):
     rho = rho[rho <= grid.nodes[-1]]
     scipy_values = np.exp(PchipInterpolator(grid.nodes, np.log(wave.values),
                                             extrapolate=True)(rho))
-    assert profile_evaluator(wave, a)(rho).tolist() == scipy_values.tolist()
+    assert profile_evaluator(wave)(rho).tolist() == scipy_values.tolist()
 
 
 def _flat_root(x):

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import degenls as dl
 from degenls.exceptions import GridRangeError, InvalidParameterError, InvalidWindowError
-from degenls.model import profile_evaluator
+from degenls.model import (DEGENERATE_BAND, effective_dimension, is_degenerate,
+                           pohozaev_coefficient, profile_evaluator, tail_rate)
+from degenls.presets import default_r_max
 
 
 def test_exists_window_examples():
@@ -66,6 +70,45 @@ def test_window_monotone_in_p(d, a, p1, p2):
         assert not dl.exists_window(dl.ModelParams(d, a, p_star + 1e-9))
 
 
+def _laws_in_d_and_a(d, a, p):
+    """The window, p_c, Pohozaev coefficient and mass exponent as the paper spells them."""
+    p_c = 1.0 + 4.0 * (1.0 - a) / d
+    return (0.5 - 1.0 / (p + 1.0) < (1.0 - a) / d, p_c,
+            d * (p - 1.0) / (2.0 * (p + 1.0) * (1.0 - a)), 2.0 / (p - 1.0) - d / (2.0 * (1.0 - a)),
+            abs(p - p_c) < DEGENERATE_BAND * p_c)
+
+
+# The lattice's points on the window's edge, p = (D+2)/(D-2): D = 4 at p = 3, D = 6
+# at p = 2, D = 8/3 at p = 7 and D = 3 at p = 5.
+@example(d=2, a=0.5, p=3.0, omega=1.0, tail=1e-12)
+@example(d=1, a=0.75, p=3.0, omega=1.0, tail=1e-12)
+@example(d=3, a=0.25, p=3.0, omega=1.0, tail=1e-7)
+@example(d=3, a=0.5, p=2.0, omega=1.0, tail=1e-7)
+@example(d=2, a=0.25, p=7.0, omega=1.5, tail=1e-12)
+@example(d=3, a=0.0, p=5.0, omega=1.0, tail=1e-7)
+@given(d=st.integers(1, 6), a=st.floats(0.0, 0.99), p=st.floats(1.001, 50.0),
+       omega=st.floats(1e-3, 1e3), tail=st.floats(1e-16, 1e-3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_laws_in_D_are_the_laws_in_d_and_a(d, a, p, omega, tail):
+    params = dl.ModelParams(d, a, p, omega)
+    window, p_c, coeff, exponent, degenerate = _laws_in_d_and_a(d, a, p)
+    assert effective_dimension(params) == d / (1.0 - a)
+    assert dl.exists_window(params) is window
+    assert is_degenerate(params) is degenerate
+    for value, reference in ((dl.critical_power(params), p_c),
+                             (pohozaev_coefficient(params), coeff),
+                             (dl.mass_scaling_exponent(params), exponent)):
+        assert abs(value - reference) <= 4.0 * math.ulp(reference)
+    if window:
+        verdict = "Degenerate" if degenerate else "Stable" if exponent > 0 else "Unstable"
+        assert dl.classify_by_threshold(params).verdict == verdict
+    else:
+        with pytest.raises(InvalidWindowError):
+            dl.classify_by_threshold(params)
+    r_max = default_r_max(params, tail)     # a normal double over these ranges
+    assert math.exp(-tail_rate(params) * r_max ** (1.0 - a)) == pytest.approx(tail, rel=1e-12)
+
+
 def test_omega_rescale_identity(anchor_wave, anchor_params):
     out = dl.omega_rescale(anchor_wave, anchor_params)
     assert np.array_equal(out.values, anchor_wave.values)
@@ -94,35 +137,25 @@ def test_mass_scaling_exponent_law(wave_cache, d, a, p, omega):
     assert ratio == pytest.approx(omega ** dl.mass_scaling_exponent(params), rel=1e-6)
 
 
-def test_omega_rescale_onto_grid_interpolates(anchor_wave, anchor_params):
-    target = dl.build_grid(1, 10.0, 2048, 1.0)
-    out = dl.omega_rescale(anchor_wave, anchor_params.with_omega(4.0), grid=target)
-    exact = 2.0 * np.sqrt(2.0) / np.cosh(2.0 * target.nodes)
-    assert np.max(np.abs(out.values - exact)) < 1e-5
-
-
-@pytest.mark.parametrize("rescale", [
-    lambda wave, params, grid: dl.l2_scale(wave, 1.0, grid=grid),
-    lambda wave, params, grid: dl.omega_rescale(wave, params.with_omega(2.0), grid=grid),
-], ids=["l2_scale", "omega_rescale"])
-def test_rescale_onto_a_line_is_even(anchor_wave, anchor_params, rescale):
+@pytest.mark.parametrize("lam", [1.0, 2.0 ** 0.5], ids=["l2_scale", "l2_scale-stretched"])
+def test_rescale_onto_a_line_is_even(anchor_wave, lam):
     # a line target reads the radial wave at |x|: the right branch is the
     # rescale onto the line's radial half, the left branch that mirrored
     line = dl.build_line_grid(20.0, 1024)
-    on_line = rescale(anchor_wave, anchor_params, line).values
-    on_half = rescale(anchor_wave, anchor_params, line.half).values
+    on_line = dl.l2_scale(anchor_wave, lam, grid=line).values
+    on_half = dl.l2_scale(anchor_wave, lam, grid=line.half).values
     assert on_line[line.branch(+1)].tolist() == on_half.tolist()
     assert on_line[line.branch(-1)].tolist() == on_half[::-1].tolist()
 
 
-def test_omega_rescale_range_error(anchor_params):
+def test_l2_scale_range_error():
     # a source truncated before its tail decays cannot cover a wider target
     src_grid = dl.build_grid(1, 5.0, 256, 1.0)
     src = dl.Profile(grid=src_grid, values=np.sqrt(2.0) / np.cosh(src_grid.nodes),
                      omega=1.0)
     target = dl.build_grid(1, 10.0, 256, 1.0)
     with pytest.raises(GridRangeError):
-        dl.omega_rescale(src, anchor_params.with_omega(1.5), grid=target)
+        dl.l2_scale(src, 1.5 ** 0.5, grid=target)
 
 
 @pytest.mark.parametrize("entry", [
