@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .exceptions import InvalidParameterError
+from .exceptions import FloatRangeError, InvalidParameterError
 
 MIN_CELLS = 16      # fewest cells a grid (or each side of a line) may have
 
@@ -311,9 +311,13 @@ def assemble_operator(grid: RadialGrid | LineGrid, a: float, sector: int = 0,
     coeff = ell * (ell + grid.d - 2)
     barrier = coeff * grid.nodes ** (2.0 * a - 2.0) if coeff else None
     diag = (flux[:-1] + flux[1:]) / grid.volumes
-    for term in (barrier, potential):
-        if term is not None:
-            diag += term
+    if barrier is not None:
+        diag += barrier
+    if not np.isfinite(diag).all():
+        raise FloatRangeError(f"the operator on the grid of {grid.n} cells to r_max = "
+                              f"{grid.r_max!r} at a = {a!r} has a coefficient out of range")
+    if potential is not None:
+        diag += potential
     if barrier is not None:
         potential = barrier if potential is None else barrier + potential
     return SectorOperator(grid=grid, flux=flux, diag=diag, potential=potential)

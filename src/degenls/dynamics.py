@@ -3,12 +3,15 @@
 The scheme is Crank-Nicolson with a midpoint nonlinearity: implicit in the
 stiff weighted Laplacian (no transform exists for it, so splitting buys
 nothing) and exactly mass-conserving up to the inner fixed-point tolerance.
-The left-hand side i/dt - A0/2 is constant for a run, so the stepper factors
-it once (`SectorOperator.factor`) and each inner sweep is one solve.  The
-midpoint fixed point (Akrivis, Dougalis and Karakashian 1991) starts from an
-extrapolation of the last states of the run and stops once its measured
-contraction rate puts the iterate within tolerance of the fixed point, so a
-smooth step takes two sweeps and a polishing pass.
+The stepper iterates the midpoint m = (u_n + u_{n+1})/2 itself (Akrivis,
+Dougalis and Karakashian 1991): each inner sweep solves
+(i/dt - A0/2) m = (i/dt) u_n - |m|^{p-1} m / 2, and the step commits
+u_{n+1} = 2m - u_n, so no sweep applies A0.  That left-hand side is constant
+for a run: the stepper factors it once (`SectorOperator.factor`) and a sweep
+is one solve.  The iteration starts from an extrapolation of the last states
+of the run and stops once its measured contraction rate puts the iterate
+within tolerance of the fixed point, so a smooth step takes two sweeps and a
+polishing pass, 3 solves.
 Well-posedness of the underlying initial-value problem is not established;
 the integrator is a formal discretization and reports conservation drift as
 its trust metric.
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded  # unused; bound here because perfbench traces it by name
 
 from . import functionals
-from .discretization import LineGrid, Profile, RadialGrid, assemble_operator, weighted_norm
+from .discretization import LineGrid, Profile, RadialGrid, assemble_operator
 from .exceptions import FixedPointDivergenceError, InvalidParameterError
 from .model import ModelParams, require_dimension
 
@@ -39,18 +42,21 @@ log = logging.getLogger(__name__)
 class CrankNicolson:
     """One-step integrator for i u_t = A0 u - |u|^{p-1} u on a radial grid or the line.
 
-    `step` iterates the midpoint m = (u + u_next)/2 to its fixed point.  The
-    stepper keeps the last three states of its trajectory: the array a run
-    of steps began from and the arrays it returned since.  When `step` is
-    fed the array it returned last (the same object), the iteration starts
-    from their extrapolation, 2 u_n - 1.5 u_{n-1} + 0.5 u_{n-2} (the mean of
-    u_n and the quadratic extrapolation of u_{n+1}), or 1.5 u_n - 0.5 u_{n-1}
-    with two states.  Any other input, a copy included, starts from u itself
-    and begins a new trajectory.  No explicit predictor is used: it would
-    amplify the stiff modes of A0.  The iteration stops when the sweep's
-    change err falls below CONTRACTION_TOL, or, from the second sweep on with
-    rate r = err/err_prev < 1/2, when Banach's bound err r/(1 - r) on the
-    distance to the fixed point does; a polishing pass follows either stop.
+    `step` iterates the midpoint m = (u + u_next)/2 to its fixed point, one
+    solve with the stored factors of i/dt - A0/2 a sweep, and returns
+    2m - u.  The stepper keeps the last three states of its trajectory: the
+    array a run of steps began from and the arrays it returned since.  When
+    `step` is fed the array it returned last (the same object), the
+    iteration starts from their extrapolation, 2 u_n - 1.5 u_{n-1} + 0.5
+    u_{n-2} (the mean of u_n and the quadratic extrapolation of u_{n+1}), or
+    1.5 u_n - 0.5 u_{n-1} with two states.  Any other input, a copy
+    included, starts from u itself and begins a new trajectory.  No explicit
+    predictor is used: it would amplify the stiff modes of A0.  The
+    iteration stops when the sweep's change err, in the weighted norm
+    relative to |u|_w, falls below CONTRACTION_TOL, or, from the second
+    sweep on with rate r = err/err_prev < 1/2, when Banach's bound
+    err r/(1 - r) on the distance to the fixed point does; a polishing pass
+    follows either stop.
     The start changes the sweeps taken, not the fixed point.
 
     `solves` counts the tridiagonal solves made so far, polishing passes included.
@@ -62,6 +68,7 @@ class CrankNicolson:
         self.dt = dt
         self.op = assemble_operator(grid, params.a, sector=0)
         self._solve = self.op.factor(-0.5, 1j / dt)     # i/dt - A0/2
+        self._weights = np.repeat(grid.volumes, 2)      # w of each float of a complex field
         self.solves = 0
         self._history: list[np.ndarray] = []     # last states of the trajectory, oldest first
 
@@ -84,22 +91,21 @@ class CrankNicolson:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         p = self.params.p
-        rhs_linear = (1j / self.dt) * u + 0.5 * self.op.apply(u)
+        u = np.ascontiguousarray(u, dtype=complex)
+        rhs_linear = (1j / self.dt) * u
         mid = self._start(u)
-        scale = max(weighted_norm(self.grid, u), 1e-300)
+        scale = max(np.sqrt(self._norm_sq(u)), 1e-300)
         err_prev = np.inf
         for sweep in range(MAX_INNER):
-            nonlin = np.abs(mid) ** (p - 1.0) * mid
-            u_next = self.solve(rhs_linear - nonlin)
-            mid_next = 0.5 * (u_next + u)
-            err = weighted_norm(self.grid, mid_next - mid) / scale
+            mid_next = self.solve(rhs_linear - (0.5 * np.abs(mid) ** (p - 1.0)) * mid)
+            err = np.sqrt(self._norm_sq(mid_next - mid)) / scale
             mid = mid_next
             rate = err / err_prev
             if err < CONTRACTION_TOL or (
                     sweep and rate < 0.5 and err * rate / (1.0 - rate) < CONTRACTION_TOL):
                 # One polishing pass so the committed step sits well below tol.
-                nonlin = np.abs(mid) ** (p - 1.0) * mid
-                u_next = self.solve(rhs_linear - nonlin)
+                mid = self.solve(rhs_linear - (0.5 * np.abs(mid) ** (p - 1.0)) * mid)
+                u_next = 2.0 * mid - u
                 self._history = [*self._history[-2:], u_next]
                 return u_next
             if err > 4.0 * err_prev or not np.isfinite(err):
@@ -107,6 +113,11 @@ class CrankNicolson:
             err_prev = err
         raise FixedPointDivergenceError(
             f"midpoint iteration failed to contract (last error {err:.3e})")
+
+    def _norm_sq(self, z: np.ndarray) -> float:
+        """|z|_w^2 of a contiguous complex field: one dot product of its float view."""
+        flat = z.view(float)
+        return float(np.dot(self._weights * flat, flat))
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -172,21 +183,29 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
     grid = u0.grid
     u = u0.values.astype(complex)
     stepper = CrankNicolson(params, grid, dt)
-    tail_mask = np.abs(grid.nodes) > 0.9 * grid.r_max
+    # The record takes `functionals`' mass, variance and |u|^{p+1} integrals,
+    # the same doubles, from one |u| and |u|^2 a state; the variance weight
+    # and the tail's volumes are computed once a run.
+    variance_volumes = grid.volumes * np.abs(grid.nodes) ** (2.0 * (1.0 - params.a))
+    tail = np.abs(grid.nodes) > 0.9 * grid.r_max
+    tail_volumes = grid.volumes[tail]
 
     times, vs, ps, ms, es, gs, ls = [], [], [], [], [], [], []
 
     def record(t, u):
+        modulus = np.abs(u)
+        density = modulus ** 2
         kin = grid.measure * stepper.op.gradient_energy(u)
-        lp1 = functionals.lp_power_of(grid, u, params.p + 1.0)
+        lp1 = grid.measure * float(np.sum(grid.volumes * modulus ** (params.p + 1.0)))
         energy, virial = functionals.energy_and_virial(params, kin, lp1)
         times.append(t)
-        vs.append(functionals.variance_of(params, grid, u))
+        vs.append(grid.measure * float(np.sum(variance_volumes * density)))
         ps.append(virial)
-        ms.append(functionals.mass_of(grid, u))
+        ms.append(grid.measure * float(np.sum(grid.volumes * density)))
         es.append(energy)
         gs.append(kin)
         ls.append(lp1)
+        return density
 
     record(0.0, u)
     grad0 = max(gs[0], 1e-300)
@@ -207,14 +226,13 @@ def evolve_and_trace(params: ModelParams, u0: Profile, t_final: float, dt: float
             break
         steps, t = k, k * dt
         if k % record_every == 0 or k == n_steps:
-            record(t, u)
+            density = record(t, u)
             if gs[-1] > BLOWUP_GRAD_FACTOR * grad0:
                 blowup, blowup_time = True, t
                 halt = "gradient growth"
                 break
-            tail = grid.measure * float(
-                np.sum(grid.volumes[tail_mask] * np.abs(u[tail_mask]) ** 2))
-            if tail > REFLECTION_GUARD * mass0:
+            tail_mass = grid.measure * float(np.sum(tail_volumes * density[tail]))
+            if tail_mass > REFLECTION_GUARD * mass0:
                 halt = "reflection guard"
                 break
 

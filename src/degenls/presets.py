@@ -45,7 +45,7 @@ import math
 
 from .discretization import (MIN_CELLS, LineGrid, RadialGrid, build_grid,
                              build_line_grid)
-from .exceptions import InvalidParameterError
+from .exceptions import FloatRangeError, InvalidParameterError
 from .model import ModelParams, _power
 
 # Decades the predicted tail falls over a sweep grid's domain; identity
@@ -54,11 +54,17 @@ SWEEP_TAIL_DECADES = 7.0
 
 
 def default_r_max(params: ModelParams, tail: float = 1e-12) -> float:
-    """Domain size R with predicted boundary value exp(-`tail_rate` R^{1-a}) < tail."""
+    """Domain size R with predicted boundary value exp(-`tail_rate` R^{1-a}) < tail.
+
+    FloatRangeError where R overflows or underflows to 0.
+    """
     # Its own arithmetic: through model.tail_rate R moves 1-2 ulp at a = 1/4, omega = 1, 1.5.
-    target = -math.log(tail)
-    return _power((1.0 - params.a) * target / math.sqrt(params.omega), 1.0 / (1.0 - params.a),
-                  "the default r_max")
+    base = (1.0 - params.a) * -math.log(tail) / math.sqrt(params.omega)
+    exponent = 1.0 / (1.0 - params.a)
+    r_max = _power(base, exponent, "the default r_max")
+    if r_max == 0.0:
+        raise FloatRangeError(f"the default r_max {base!r} ** {exponent!r} underflows to 0")
+    return r_max
 
 
 def sweep_grading(a: float) -> float:

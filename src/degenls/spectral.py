@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import LinAlgError, eigh_tridiagonal, get_lapack_funcs
 
 from . import functionals
 from .discretization import (LineGrid, Profile, SectorOperator, assemble_operator, weighted_inner,
@@ -21,6 +21,8 @@ from .discretization import (LineGrid, Profile, SectorOperator, assemble_operato
 from .exceptions import EigensolverError, InvalidParameterError, SingularLPlusError
 from .model import (ModelParams, critical_power, is_degenerate, mass_scaling_exponent,
                     require_dimension)
+
+INVERSE_SOLVES = 3      # solves of inverse iteration a vector
 
 
 def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
@@ -33,14 +35,51 @@ def assemble_linearized(params: ModelParams, profile: Profile, sector: int,
     return assemble_operator(profile.grid, params.a, sector=sector, potential=potential)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float, tol: float,
-            vectors: bool = False):
-    """LAPACK bisection (`stebz`, then `stein` for vectors) on the eigenvalues in (lower, upper]."""
+def _bisect(diag: np.ndarray, off: np.ndarray, lower: float, upper: float,
+            tol: float) -> np.ndarray:
+    """LAPACK bisection (`stebz`) for the eigenvalues in (lower, upper], ascending."""
     try:
-        return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="v",
+        return eigh_tridiagonal(diag, off, eigvals_only=True, select="v",
                                 select_range=(lower, upper), tol=tol)
     except np.linalg.LinAlgError as exc:     # pragma: no cover - LAPACK breakdown
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
+def _inverse_iteration(op: SectorOperator, vals: np.ndarray, band: float) -> np.ndarray:
+    """Weighted-orthonormal eigenvectors of op at its eigenvalues vals, one a column.
+
+    A vector is INVERSE_SOLVES solves from a seeded random start with the
+    factors of op - lambda I (`SectorOperator.factor`), or of
+    op - (lambda + band) I where that has a zero pivot.  Each iterate is made
+    orthogonal, in the weighted inner product, to the vectors before it:
+    that keeps the vectors of near-equal eigenvalues apart and costs the
+    others nothing.  A decoupled line's vector is cut to the branch that
+    holds most of it.  The sign is LAPACK `stein`'s: the largest component of
+    W^{1/2} v is positive.  An iterate that overflows raises EigensolverError.
+    """
+    grid = op.grid
+    w, root_w = grid.volumes, np.sqrt(grid.volumes)
+    rng = np.random.default_rng(1)
+    vecs = np.empty((grid.n, vals.size))
+    for j, lam in enumerate(vals):
+        try:
+            solve = op.factor(1.0, -lam)
+        except LinAlgError:     # a pivot of exactly 0: shift off it, as `stein` does
+            solve = op.factor(1.0, -(lam + band))
+        x, done = rng.uniform(-1.0, 1.0, grid.n), vecs[:, :j]
+        for _ in range(INVERSE_SOLVES):
+            x = solve(x)
+            x -= done @ (done.T @ (w * x))
+            x /= np.sqrt(np.dot(w * x, x))
+        if op.decoupled:
+            x[min(grid.branch(-1), grid.branch(+1),
+                  key=lambda side: np.dot(w[side] * x[side], x[side]))] = 0.0
+            x /= np.sqrt(np.dot(w * x, x))
+        if not np.isfinite(x).all():
+            raise EigensolverError(f"inverse iteration at {lam:.6e} overflowed")
+        top = np.argmax(np.abs(root_w * x))
+        vecs[:, j] = -x if x[top] < 0.0 else x
+    return vecs
 
 
 def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -89,13 +128,14 @@ class _Sturm:
     "bisections", and may be shared by several operators' paths.  A
     full-line operator whose branches decouple (a >= 1/2) has a centre link
     of exactly 0, where the pivots restart and LAPACK splits the matrix: its
-    spectrum is the union of the two branches', each eigenvector vanishing
-    on the other branch.  A non-finite entry raises InvalidParameterError: a
-    sweep would read a NaN pivot as positive and count too few.
+    spectrum is the union of the two branches', and each eigenvector is cut
+    to vanish on the other branch.  A non-finite entry raises
+    InvalidParameterError: a sweep would read a NaN pivot as positive and
+    count too few.
     """
 
     def __init__(self, op: SectorOperator, work: Counter | None = None):
-        self.grid = op.grid
+        self.op, self.grid = op, op.grid
         self.diag, self.off = op.sym_tridiagonal()
         if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
             raise InvalidParameterError("the operator has a non-finite entry")
@@ -146,7 +186,7 @@ class _Sturm:
 
     def values(self, k: int, first: int = 0, vectors: bool = False):
         """Eigenvalues first+1..k of op, ascending, and their weighted-orthonormal
-        eigenvectors, or None unless asked for.
+        eigenvectors (`_inverse_iteration`), or None unless asked for.
 
         One bisection on (bottom, upper]: `upper` from `_window`, `bottom` the
         highest point in `known` with at most `first` eigenvalues at or below
@@ -171,21 +211,17 @@ class _Sturm:
                     bottom -= self.band
                     held = self._count(bottom)
                 upper += self.band
-            out = _bisect(self.diag, self.off, bottom, upper, tol=0.0, vectors=vectors)
+            vals = _bisect(self.diag, self.off, bottom, upper, tol=0.0)
             self.work["bisections"] += 1
-            vals = out[0] if vectors else out
             if vals.size >= k - held:
                 break
         else:
             raise EigensolverError(
                 f"bisection found {vals.size} eigenvalues on ({bottom:.6e}, {upper:.6e}], "
                 f"where counts put {k - held} of those asked for")
-        asked = slice(first - held, k - held)
-        if not vectors:
-            return vals[asked].copy(), None    # a view would keep LAPACK's length-n w alive
-        vecs = out[1][:, asked] / np.sqrt(self.grid.volumes)[:, None]
-        norms = np.sqrt(np.sum(self.grid.volumes[:, None] * vecs ** 2, axis=0))
-        return vals[asked], vecs / norms
+        # A copy: a view would keep LAPACK's length-n w alive.
+        vals = vals[first - held:k - held].copy()
+        return vals, _inverse_iteration(self.op, vals, self.band) if vectors else None
 
 
 def eigenpairs(op: SectorOperator, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -379,13 +379,14 @@ def test_cli_sweep_records_infinite_power_in_row(tmp_path):
 
 @pytest.mark.parametrize("model, grid, message", [
     ("p = 1e308", "", "integral |v|^(p+1) of a unit iterate underflows to 0"),
-    ("p = 3.0", "r_max = 1e-300", "integral |v|^(p+1) of a unit iterate underflows to 0"),
+    ("p = 3.0", "r_max = 1e-300", "the operator on the grid of 1024 cells to r_max = 1e-300"),
     ("a = 0.25\np = 1e300\nomega = 1e30", "", "integral |v|^(p+1) of a unit iterate"),
     ("p = 1.0000001", "", "the amplitude"),
     ("p = 3.0\nomega = 1e-300", "", "integral |u|^(p+1) underflows to 0"),
     ("d = 2\na = 0.999999\np = 1.5\nomega = 1e-300", "", "the default r_max"),
+    ("d = 2\na = 0.999\np = 1.001\nomega = 1e3", "", "the default r_max"),
 ], ids=["p-1e308", "r_max-1e-300", "p-1e300-omega-1e30", "p-1.0000001", "omega-1e-300",
-        "default-r_max-overflows"])
+        "default-r_max-overflows", "default-r_max-underflows"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_float_out_of_range_exits_70(tmp_path, capsys, model, grid, message):
     # a double that overflows, or a divisor that underflows to 0, is a

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import degenls as dl
-from degenls.exceptions import InvalidParameterError
+from degenls.exceptions import FloatRangeError, InvalidParameterError
 from tests.conftest import band, sech_values
 
 
@@ -241,6 +241,15 @@ def test_line_operator_rejects_other_sectors():
 def test_integer_checks_refuse_non_finite_numbers(make, bad):
     with pytest.raises(InvalidParameterError):
         make(bad)
+
+
+@pytest.mark.parametrize("grid", [dl.build_grid(1, 1e-300, 1024), dl.build_line_grid(1e-300, 64)],
+                         ids=["radial", "line"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_assembly_refuses_coefficients_out_of_range(grid):
+    # cells of 1e-303 give a diagonal of 1e606: the grid, not a later integral, is refused
+    with pytest.raises(FloatRangeError, match="r_max = 1e-300"):
+        dl.assemble_operator(grid, 0.0)
 
 
 _RADIAL = dl.build_grid(2, 10.0, 512, 1.5)

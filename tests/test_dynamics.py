@@ -10,7 +10,7 @@ import degenls.discretization
 import degenls.dynamics
 from degenls.dynamics import CrankNicolson
 from degenls.exceptions import FixedPointDivergenceError, InvalidParameterError
-from degenls.functionals import lp_power_of, mass_of
+from degenls.functionals import lp_power_of, mass_of, variance_of
 from tests.conftest import band
 
 
@@ -64,6 +64,24 @@ def test_virial_identity_second_difference(evo_setup):
         errs.append(np.max(np.abs(d2v - target)) / scale)
     assert errs[0] < 0.01
     assert errs[1] < 0.6 * errs[0]     # shrinks under dt refinement
+
+
+@pytest.mark.parametrize("a, grid", [(0.0, dl.build_grid(1, 20.0, 2048, 1.0)),
+                                     (0.25, dl.build_line_grid(12.0, 512, 1.5))],
+                         ids=["radial", "line"])
+def test_record_returns_the_functionals(a, grid):
+    # the trace records each state from one |u| and |u|^2: the same doubles
+    # as the public functionals, at t = 0 and at the last record
+    params = dl.ModelParams(1, a, 3.0, 1.0)
+    u0 = dl.Profile(grid=grid, values=1.2 * np.sqrt(2.0) / np.cosh(np.abs(grid.nodes)),
+                    omega=1.0)
+    trace = dl.evolve_and_trace(params, u0, t_final=0.01, dt=1e-3)
+    assert trace.times[-1] == pytest.approx(0.01)
+    for k, u in ((0, u0.values.astype(complex)), (-1, trace.final_u)):
+        assert trace.mass[k] == mass_of(grid, u)
+        assert trace.v[k] == variance_of(params, grid, u)
+        assert trace.lp1_norm[k] == lp_power_of(grid, u, params.p + 1.0)
+        assert trace.gradnorm[k] == grid.measure * dl.gradient_energy(grid, a, u)
 
 
 def test_second_difference_refuses_uneven_times():

@@ -193,6 +193,9 @@ def test_one_dimensional_weight_breaks_evenness(wave_cache):
     assert v_odd[0] == pytest.approx(v_even[0], rel=1e-12)
 
 
+_LINE_GRID = dl.build_line_grid(12.0, 1024, 1.5)
+
+
 def test_decoupled_line_spectrum_is_union_of_branches():
     # a >= 1/2: the full-line operator splits at the origin, where its
     # centre link is exactly 0; the result must be that of the whole matrix
@@ -211,6 +214,41 @@ def test_decoupled_line_spectrum_is_union_of_branches():
     for k in range(5):
         res = op.apply(vecs[:, k]) - vals[k] * vecs[:, k]
         assert dl.weighted_norm(g, res) < 1e-9 * scale
+        assert not vecs[g.branch(-1), k].any() or not vecs[g.branch(+1), k].any()
+
+
+@pytest.mark.parametrize("a", [0.75, 0.25], ids=["decoupled", "coupled"])
+def test_eigenvectors_of_near_equal_eigenvalues_stay_apart(a):
+    # two deep wells at x = +-6: on the decoupled line every eigenvalue is
+    # double, and on the coupled line the lowest pair splits by less than the
+    # band; the vectors of the pair are still weighted-orthonormal
+    g = _LINE_GRID
+    potential = 1.0 - 30.0 / np.cosh(2.0 * (np.abs(g.nodes) - 6.0)) ** 2
+    op = dl.assemble_operator(g, a, potential=potential)
+    vals, vecs = dl.eigenpairs(op, 4)
+    assert vals[1] - vals[0] < 4.0 * np.finfo(float).eps * np.max(np.abs(op.diag))
+    assert np.allclose(vecs.T @ (g.volumes[:, None] * vecs), np.eye(4), atol=1e-9)
+    for k in range(4):
+        res = op.apply(vecs[:, k]) - vals[k] * vecs[:, k]
+        assert dl.weighted_norm(g, res) < 1e-9
+
+
+@pytest.mark.parametrize("op", [
+    dl.assemble_operator(dl.build_grid(2, 20.0, 4096, 1.5), 0.25, 1,
+                         potential=1.0 - 3.0 / np.cosh(dl.build_grid(2, 20.0, 4096, 1.5).nodes)),
+    dl.assemble_operator(_LINE_GRID, 0.25, potential=1.0 - 3.0 / np.cosh(_LINE_GRID.nodes - 2.0)),
+    dl.assemble_operator(_LINE_GRID, 0.75, potential=1.0 - 3.0 / np.cosh(_LINE_GRID.nodes - 2.0)),
+], ids=["radial-sector-1", "line-coupled", "line-decoupled"])
+def test_eigenvectors_match_lapack_stein(op):
+    # inverse iteration on the operator's own factors gives LAPACK stein's
+    # vectors, sign included (the largest entry of W^{1/2} v is positive)
+    vals, vecs = dl.eigenpairs(op, 4)
+    diag, off = op.sym_tridiagonal()
+    ref_vals, ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+    root_w = np.sqrt(op.grid.volumes)[:, None]
+    band = 4.0 * np.finfo(float).eps * np.max(np.abs(diag))
+    assert np.allclose(vals, ref_vals, rtol=0.0, atol=band)
+    assert np.max(np.abs(root_w * vecs - ref)) < 1e-9
 
 
 @pytest.mark.parametrize("a,p,verdict", [
@@ -396,9 +434,9 @@ def test_inconsistent_bisection_raises(anchor_wave, anchor_params, monkeypatch):
     # hold is a solver failure, never a reported eigenvalue
     original = spectral._bisect
 
-    def slipping(diag, off, lower, upper, tol, vectors=False):
-        out = original(diag, off, lower, upper, tol, vectors)
-        return out[:-1] if tol == 0.0 and not vectors else out
+    def slipping(diag, off, lower, upper, tol):
+        out = original(diag, off, lower, upper, tol)
+        return out[:-1] if tol == 0.0 else out
 
     monkeypatch.setattr(spectral, "_bisect", slipping)
     plus = dl.assemble_linearized(anchor_params, anchor_wave, 0, +1)
